@@ -170,11 +170,11 @@ void BM_TopKSimilarity(benchmark::State& state) {
 BENCHMARK(BM_TopKSimilarity)->Arg(16)->Arg(32)->Arg(64)->Complexity(benchmark::oNSquared);
 
 // ---------------------------------------------------------------------------
-// Vector-vs-scalar panels for the SIMD layer. Each kernel appears twice:
-// the dispatched (widest available) path and the same call pinned to the
-// scalar backend via ScopedLevel, so `--benchmark_filter=Simd` prints the
-// speedup table that EXPERIMENTS.md quotes. On a scalar-only host or an
-// SM_DISABLE_SIMD build both rows measure the same code.
+// Vector-vs-scalar panels for the SIMD layer. Each vector kernel appears
+// twice: the dispatched (widest available) path and the same call pinned
+// to the scalar backend via ScopedLevel, so `--benchmark_filter=Simd`
+// prints the speedup table that EXPERIMENTS.md quotes. On a scalar-only
+// host or an SM_DISABLE_SIMD build both rows measure the same code.
 // ---------------------------------------------------------------------------
 
 simd::Level PanelLevel(int64_t scalar) {
@@ -205,8 +205,8 @@ void BM_SimdHistogramBin8760(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdHistogramBin8760)->Arg(0)->Arg(1);
 
+// Band selection has one (scalar) path, so it runs once.
 void BM_SimdSelectBands8760(benchmark::State& state) {
-  const simd::ScopedLevel guard(PanelLevel(state.range(0)));
   const std::vector<double> values = RandomSeries(kHoursPerYear, 24);
   const std::vector<double> temps = RandomSeries(kHoursPerYear, 25);
   std::vector<int32_t> bins(kHoursPerYear);
@@ -224,9 +224,8 @@ void BM_SimdSelectBands8760(benchmark::State& state) {
     benchmark::DoNotOptimize(lo_idx.data());
     benchmark::DoNotOptimize(hi_idx.data());
   }
-  state.SetLabel(std::string(simd::LevelName(simd::ActiveLevel())));
 }
-BENCHMARK(BM_SimdSelectBands8760)->Arg(0)->Arg(1);
+BENCHMARK(BM_SimdSelectBands8760);
 
 void BM_SimdAddResidualYear(benchmark::State& state) {
   const simd::ScopedLevel guard(PanelLevel(state.range(0)));

@@ -32,9 +32,9 @@ using engines::TaskResultSet;
 
 constexpr double kBytesPerMb = 1024.0 * 1024.0;
 
-/// Modeled wire sizes on the simulated shuffle (cluster/serde.h rules):
-/// an 8-byte household key, a 24-byte hour record, a 16-byte vector
-/// header ahead of a batched value list.
+/// Modeled wire sizes on the simulated shuffle, framed as a
+/// length-prefixed wire format would: an 8-byte household key, a 24-byte
+/// hour record, a 16-byte vector header ahead of a batched value list.
 constexpr int64_t kKeyBytes = 8;
 constexpr int64_t kRecordPayloadBytes = 24;
 constexpr int64_t kVectorHeaderBytes = 16;

@@ -134,11 +134,11 @@ void BinIndicesInt32Scalar(std::span<const double> values, double divisor,
   }
 }
 
-void CountBandsScalar(std::span<const double> values,
-                      std::span<const int32_t> bins, int32_t base,
-                      std::span<const double> lo_table,
-                      std::span<const double> hi_table, size_t* lo_count,
-                      size_t* hi_count) {
+void CountBands(std::span<const double> values,
+                std::span<const int32_t> bins, int32_t base,
+                std::span<const double> lo_table,
+                std::span<const double> hi_table, size_t* lo_count,
+                size_t* hi_count) {
   const int64_t size = static_cast<int64_t>(lo_table.size());
   size_t lo = 0;
   size_t hi = 0;
@@ -154,12 +154,12 @@ void CountBandsScalar(std::span<const double> values,
   *hi_count = hi;
 }
 
-void SelectBandsScalar(std::span<const double> values,
-                       std::span<const int32_t> bins, int32_t base,
-                       std::span<const double> lo_table,
-                       std::span<const double> hi_table,
-                       std::vector<int32_t>* lo_indices,
-                       std::vector<int32_t>* hi_indices) {
+void SelectBands(std::span<const double> values,
+                 std::span<const int32_t> bins, int32_t base,
+                 std::span<const double> lo_table,
+                 std::span<const double> hi_table,
+                 std::vector<int32_t>* lo_indices,
+                 std::vector<int32_t>* hi_indices) {
   const int64_t size = static_cast<int64_t>(lo_table.size());
   for (size_t i = 0; i < values.size(); ++i) {
     const int64_t rel = static_cast<int64_t>(bins[i]) - base;
@@ -271,46 +271,6 @@ void BinIndicesInt32(std::span<const double> values, double divisor,
     default:
       // No NEON form: aarch64 falls back to scalar here.
       BinIndicesInt32Scalar(values, divisor, out);
-  }
-}
-
-void CountBands(std::span<const double> values,
-                std::span<const int32_t> bins, int32_t base,
-                std::span<const double> lo_table,
-                std::span<const double> hi_table, size_t* lo_count,
-                size_t* hi_count) {
-  switch (ActiveLevel()) {
-#if SM_SIMD_X86
-    case Level::kAVX2:
-      arch::CountBandsAvx2(values.data(), bins.data(), values.size(), base,
-                           lo_table.data(), hi_table.data(), lo_table.size(),
-                           lo_count, hi_count);
-      return;
-#endif
-    default:
-      // Gather-based kernel: no NEON form, scalar fallback.
-      CountBandsScalar(values, bins, base, lo_table, hi_table, lo_count,
-                       hi_count);
-  }
-}
-
-void SelectBands(std::span<const double> values,
-                 std::span<const int32_t> bins, int32_t base,
-                 std::span<const double> lo_table,
-                 std::span<const double> hi_table,
-                 std::vector<int32_t>* lo_indices,
-                 std::vector<int32_t>* hi_indices) {
-  switch (ActiveLevel()) {
-#if SM_SIMD_X86
-    case Level::kAVX2:
-      arch::SelectBandsAvx2(values.data(), bins.data(), values.size(), base,
-                            lo_table.data(), hi_table.data(), lo_table.size(),
-                            lo_indices, hi_indices);
-      return;
-#endif
-    default:
-      SelectBandsScalar(values, bins, base, lo_table, hi_table, lo_indices,
-                        hi_indices);
   }
 }
 

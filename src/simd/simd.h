@@ -36,8 +36,9 @@ namespace smartmeter::simd {
 /// environment clamps the level down (never up past what the CPU
 /// supports), and building with -DSM_DISABLE_SIMD=ON removes the vector
 /// code entirely — the dispatch table then only contains the scalar
-/// kernels. Kernels without a NEON form (the gather-based band
-/// selection and binning) silently fall back to scalar at that level.
+/// kernels. BinIndicesInt32 has no NEON form and runs scalar at that
+/// level. Band selection (CountBands/SelectBands) is scalar at every
+/// level: a gather-based AVX2 form measured no faster than the loop.
 
 enum class Level : int {
   kScalar = 0,
@@ -114,31 +115,19 @@ void BinIndicesInt32Scalar(std::span<const double> values, double divisor,
 ///   high band: values[i] >= hi_table[rel]
 ///   low band:  values[i] <= lo_table[rel]
 /// NaN table entries (dropped sparse bins) and NaN values select
-/// nothing, exactly like the scalar comparisons. CountBands returns the
-/// band sizes so callers can reserve exactly; SelectBands appends the
-/// matching indices in ascending order.
+/// nothing. CountBands returns the band sizes so callers can reserve
+/// exactly; SelectBands appends the matching indices in ascending order.
 void CountBands(std::span<const double> values,
                 std::span<const int32_t> bins, int32_t base,
                 std::span<const double> lo_table,
                 std::span<const double> hi_table, size_t* lo_count,
                 size_t* hi_count);
-void CountBandsScalar(std::span<const double> values,
-                      std::span<const int32_t> bins, int32_t base,
-                      std::span<const double> lo_table,
-                      std::span<const double> hi_table, size_t* lo_count,
-                      size_t* hi_count);
 void SelectBands(std::span<const double> values,
                  std::span<const int32_t> bins, int32_t base,
                  std::span<const double> lo_table,
                  std::span<const double> hi_table,
                  std::vector<int32_t>* lo_indices,
                  std::vector<int32_t>* hi_indices);
-void SelectBandsScalar(std::span<const double> values,
-                       std::span<const int32_t> bins, int32_t base,
-                       std::span<const double> lo_table,
-                       std::span<const double> hi_table,
-                       std::vector<int32_t>* lo_indices,
-                       std::vector<int32_t>* hi_indices);
 
 /// PAR residual accumulation: acc[i] += c[i] - beta[i] * t[i] for every
 /// i. Element-wise (each acc[i] sees one add per call), so repeated

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 // Build-level gates for the architecture backends. SM_DISABLE_SIMD (a
 // CMake option) strips the vector translation units entirely; the
@@ -30,15 +29,6 @@ void HistogramBinAvx2(const double* values, size_t n, double min,
                       double width, int64_t* counts, size_t num_buckets);
 void BinIndicesInt32Avx2(const double* values, size_t n, double divisor,
                          int32_t* out);
-void CountBandsAvx2(const double* values, const int32_t* bins, size_t n,
-                    int32_t base, const double* lo_table,
-                    const double* hi_table, size_t table_size,
-                    size_t* lo_count, size_t* hi_count);
-void SelectBandsAvx2(const double* values, const int32_t* bins, size_t n,
-                     int32_t base, const double* lo_table,
-                     const double* hi_table, size_t table_size,
-                     std::vector<int32_t>* lo_indices,
-                     std::vector<int32_t>* hi_indices);
 void AddResidualAvx2(double* acc, const double* c, const double* t,
                      const double* beta, size_t n);
 size_t FindByteAvx2(const char* data, size_t size, size_t pos, char needle);

@@ -12,7 +12,6 @@
 
 #include <limits>
 
-#include "simd/simd.h"
 #include "simd/simd_internal.h"
 
 #define SM_AVX2 __attribute__((target("avx2,popcnt")))
@@ -116,134 +115,6 @@ SM_AVX2 void BinIndicesInt32Avx2(const double* values, size_t n,
                      _mm256_cvttpd_epi32(floored));
   }
   for (; i < n; ++i) out[i] = internal::FloorDivInt32(values[i], divisor);
-}
-
-namespace {
-
-/// Shared core of Count/SelectBands: per 4-lane group, returns the
-/// low-band and high-band membership masks (bit j = lane j matches).
-struct BandMasks {
-  uint32_t lo;
-  uint32_t hi;
-};
-
-SM_AVX2 inline BandMasks BandGroupMasks(const double* values,
-                                        const int32_t* bins, size_t i,
-                                        __m128i base_minus_1, __m128i end,
-                                        const double* lo_table,
-                                        const double* hi_table) {
-  const __m128i b =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(bins + i));
-  const __m128i ge = _mm_cmpgt_epi32(b, base_minus_1);
-  const __m128i lt = _mm_cmpgt_epi32(end, b);
-  const __m128i valid = _mm_and_si128(ge, lt);
-  // Invalid lanes gather index 0 (always in range); their compares are
-  // masked off below.
-  const __m128i rel = _mm_sub_epi32(b, _mm_add_epi32(base_minus_1,
-                                                     _mm_set1_epi32(1)));
-  const __m128i idx = _mm_and_si128(rel, valid);
-  // Masked gather with an explicit zero source: GCC's unmasked form
-  // reads an "undefined" register, which -Wmaybe-uninitialized rejects.
-  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  const __m256d lo_thr = _mm256_mask_i32gather_pd(_mm256_setzero_pd(),
-                                                  lo_table, idx, all, 8);
-  const __m256d hi_thr = _mm256_mask_i32gather_pd(_mm256_setzero_pd(),
-                                                  hi_table, idx, all, 8);
-  const __m256d v = _mm256_loadu_pd(values + i);
-  const __m256d valid_pd = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(valid));
-  // Ordered compares: NaN values and NaN thresholds select nothing.
-  const __m256d hi_keep =
-      _mm256_and_pd(_mm256_cmp_pd(v, hi_thr, _CMP_GE_OQ), valid_pd);
-  const __m256d lo_keep =
-      _mm256_and_pd(_mm256_cmp_pd(v, lo_thr, _CMP_LE_OQ), valid_pd);
-  return {static_cast<uint32_t>(_mm256_movemask_pd(lo_keep)),
-          static_cast<uint32_t>(_mm256_movemask_pd(hi_keep))};
-}
-
-/// True when the vector kernel's int32 arithmetic is safe for this
-/// (base, table_size) window; absurd windows take the scalar path.
-inline bool BandWindowFits(int32_t base, size_t table_size) {
-  return table_size > 0 &&
-         static_cast<int64_t>(base) > std::numeric_limits<int32_t>::min() &&
-         static_cast<int64_t>(base) + static_cast<int64_t>(table_size) <=
-             std::numeric_limits<int32_t>::max();
-}
-
-}  // namespace
-
-SM_AVX2 void CountBandsAvx2(const double* values, const int32_t* bins,
-                            size_t n, int32_t base, const double* lo_table,
-                            const double* hi_table, size_t table_size,
-                            size_t* lo_count, size_t* hi_count) {
-  if (!BandWindowFits(base, table_size)) {
-    CountBandsScalar({values, n}, {bins, n}, base, {lo_table, table_size},
-                     {hi_table, table_size}, lo_count, hi_count);
-    return;
-  }
-  const __m128i base_minus_1 = _mm_set1_epi32(base - 1);
-  const __m128i end =
-      _mm_set1_epi32(base + static_cast<int32_t>(table_size));
-  size_t lo = 0;
-  size_t hi = 0;
-  size_t i = 0;
-  const size_t n4 = n & ~size_t{3};
-  for (; i < n4; i += 4) {
-    const BandMasks masks = BandGroupMasks(values, bins, i, base_minus_1,
-                                           end, lo_table, hi_table);
-    lo += static_cast<size_t>(__builtin_popcount(masks.lo));
-    hi += static_cast<size_t>(__builtin_popcount(masks.hi));
-  }
-  size_t tail_lo = 0;
-  size_t tail_hi = 0;
-  CountBandsScalar({values + i, n - i}, {bins + i, n - i}, base,
-                   {lo_table, table_size}, {hi_table, table_size}, &tail_lo,
-                   &tail_hi);
-  *lo_count = lo + tail_lo;
-  *hi_count = hi + tail_hi;
-}
-
-SM_AVX2 void SelectBandsAvx2(const double* values, const int32_t* bins,
-                             size_t n, int32_t base, const double* lo_table,
-                             const double* hi_table, size_t table_size,
-                             std::vector<int32_t>* lo_indices,
-                             std::vector<int32_t>* hi_indices) {
-  if (!BandWindowFits(base, table_size)) {
-    SelectBandsScalar({values, n}, {bins, n}, base, {lo_table, table_size},
-                      {hi_table, table_size}, lo_indices, hi_indices);
-    return;
-  }
-  const __m128i base_minus_1 = _mm_set1_epi32(base - 1);
-  const __m128i end =
-      _mm_set1_epi32(base + static_cast<int32_t>(table_size));
-  size_t i = 0;
-  const size_t n4 = n & ~size_t{3};
-  for (; i < n4; i += 4) {
-    BandMasks masks = BandGroupMasks(values, bins, i, base_minus_1, end,
-                                     lo_table, hi_table);
-    while (masks.hi != 0) {
-      const uint32_t lane = static_cast<uint32_t>(__builtin_ctz(masks.hi));
-      hi_indices->push_back(static_cast<int32_t>(i + lane));
-      masks.hi &= masks.hi - 1;
-    }
-    while (masks.lo != 0) {
-      const uint32_t lane = static_cast<uint32_t>(__builtin_ctz(masks.lo));
-      lo_indices->push_back(static_cast<int32_t>(i + lane));
-      masks.lo &= masks.lo - 1;
-    }
-  }
-  // Tail through the scalar kernel; indices are relative to the tail
-  // start, so rebase them.
-  std::vector<int32_t> tail_lo;
-  std::vector<int32_t> tail_hi;
-  SelectBandsScalar({values + i, n - i}, {bins + i, n - i}, base,
-                    {lo_table, table_size}, {hi_table, table_size}, &tail_lo,
-                    &tail_hi);
-  for (const int32_t rel : tail_lo) {
-    lo_indices->push_back(static_cast<int32_t>(i) + rel);
-  }
-  for (const int32_t rel : tail_hi) {
-    hi_indices->push_back(static_cast<int32_t>(i) + rel);
-  }
 }
 
 SM_AVX2 void AddResidualAvx2(double* acc, const double* c, const double* t,

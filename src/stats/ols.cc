@@ -92,9 +92,4 @@ Result<LinearFit> FitLineWeighted(std::span<const double> x,
   return fit;
 }
 
-Result<std::vector<double>> FitMultiple(const Matrix& x,
-                                        const std::vector<double>& y) {
-  return LeastSquares(x, y);
-}
-
 }  // namespace smartmeter::stats

@@ -1,11 +1,10 @@
 #ifndef SMARTMETER_STATS_OLS_H_
 #define SMARTMETER_STATS_OLS_H_
 
+#include <cstddef>
 #include <span>
-#include <vector>
 
 #include "common/result.h"
-#include "stats/matrix.h"
 
 namespace smartmeter::stats {
 
@@ -32,11 +31,6 @@ Result<LinearFit> FitLine(std::span<const double> x,
 Result<LinearFit> FitLineWeighted(std::span<const double> x,
                                   std::span<const double> y,
                                   std::span<const double> w);
-
-/// Multiple linear regression y = X beta (caller includes an intercept
-/// column if desired). Returns the coefficient vector.
-Result<std::vector<double>> FitMultiple(const Matrix& x,
-                                        const std::vector<double>& y);
 
 }  // namespace smartmeter::stats
 
