@@ -106,7 +106,7 @@ struct ScanOp {
 ///                  waves of a dataflow groupByKey).
 ///  * kSortMerge -- Hadoop-style sort-shuffle: the regroup itself is
 ///                  host-side bookkeeping; its read cost is charged to
-///                  the next (reduce) wave's tasks, as RunMapReduce did.
+///                  the next (reduce) wave's tasks.
 struct ShuffleOp {
   enum class Strategy { kDataflow, kSortMerge };
   Strategy strategy = Strategy::kSortMerge;
