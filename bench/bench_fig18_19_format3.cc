@@ -80,16 +80,27 @@ int Run(BenchContext& ctx) {
     engines::SparkEngine::Options options;
     options.cluster = cluster;
     engines::SparkEngine spark(options);
-    table::DataSource fake;
-    fake.layout = table::DataSource::Layout::kWholeFileDir;
+    auto real = ctx.WholeFileDir(households, file_counts.front());
+    if (!real.ok()) return 1;
+    table::DataSource many;
+    many.layout = table::DataSource::Layout::kWholeFileDir;
     // The descriptor-count check fires at job submission, before any
-    // file is read, so placeholder paths suffice.
-    fake.files.assign(100000, "unused");
+    // file is read, so every entry may name the same file; it must be a
+    // real one, because the source is validated first.
+    many.files.assign(100000, real->files.front());
     std::printf("\n-- 100,000-file probe (Section 5.4.2) --\n");
-    auto attach = spark.Attach(fake);
+    auto attach = spark.Attach(many);
     std::printf("spark @ 100000 files: %s\n",
                 attach.ok() ? "unexpectedly ran"
                             : attach.status().ToString().c_str());
+    if (attach.ok() || attach.status().code() != StatusCode::kIOError ||
+        attach.status().message().find("too many open files") ==
+            std::string::npos) {
+      std::fprintf(stderr,
+                   "FIG18 PROBE: spark did not refuse 100000 files with "
+                   "the too-many-open-files IOError\n");
+      return 1;
+    }
   }
 
   // ---- Figure 19: speedup at a fixed file count -------------------------

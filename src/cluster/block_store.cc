@@ -3,67 +3,8 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <cstdio>
-
-#include "common/string_util.h"
-#include "obs/metrics.h"
 
 namespace smartmeter::cluster {
-
-Result<std::vector<std::string>> ReadSplitLines(const InputSplit& split) {
-  static obs::Counter* split_reads =
-      obs::MetricsRegistry::Global().GetCounter("blockstore.split_reads");
-  static obs::Counter* bytes_read =
-      obs::MetricsRegistry::Global().GetCounter("blockstore.bytes_read");
-  static obs::Counter* lines_read =
-      obs::MetricsRegistry::Global().GetCounter("blockstore.lines_read");
-  FILE* f = std::fopen(split.path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open " + split.path);
-  }
-  std::vector<std::string> lines;
-  if (std::fseek(f, static_cast<long>(split.offset), SEEK_SET) != 0) {
-    std::fclose(f);
-    return Status::IOError("cannot seek in " + split.path);
-  }
-
-  int64_t consumed = 0;  // Bytes consumed relative to split.offset.
-  auto read_line = [&](std::string* out) -> bool {
-    out->clear();
-    int c;
-    while ((c = std::fgetc(f)) != EOF) {
-      ++consumed;
-      if (c == '\n') return true;
-      out->push_back(static_cast<char>(c));
-    }
-    return !out->empty();
-  };
-
-  std::string line;
-  // A split that does not start the file discards its first (partial)
-  // line; the previous split finished it.
-  if (split.offset > 0) {
-    if (!read_line(&line)) {
-      std::fclose(f);
-      split_reads->Increment();
-      bytes_read->Add(consumed);
-      return lines;
-    }
-  }
-  // Read lines while they *start* at or before the split end; the last
-  // one may run past the boundary. The "or before" (<=) matters: a line
-  // beginning exactly at offset + length belongs to THIS split, because
-  // the next split unconditionally discards its first line.
-  while (consumed <= split.length) {
-    if (!read_line(&line)) break;
-    lines.push_back(line);
-  }
-  std::fclose(f);
-  split_reads->Increment();
-  bytes_read->Add(consumed);
-  lines_read->Add(static_cast<int64_t>(lines.size()));
-  return lines;
-}
 
 BlockStore::BlockStore(int num_nodes, int64_t block_bytes)
     : num_nodes_(num_nodes < 1 ? 1 : num_nodes),

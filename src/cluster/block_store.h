@@ -11,7 +11,8 @@
 
 namespace smartmeter::cluster {
 
-/// One unit of map-task input: a line-aligned byte range of a file.
+/// One unit of map-task input: a byte range of a file. Text readers align
+/// it to lines with TextInputFormat's rule (storage::LineReader).
 struct InputSplit {
   std::string path;
   int64_t offset = 0;  // First byte this split may consider.
@@ -21,12 +22,6 @@ struct InputSplit {
   /// True when this split opens the file (charged the open penalty).
   bool opens_file = true;
 };
-
-/// Reads the records of a split with standard TextInputFormat semantics:
-/// a split skips the (partial) first line unless it starts at offset 0,
-/// and reads its last line to completion even past offset + length. This
-/// guarantees every line is processed by exactly one split.
-Result<std::vector<std::string>> ReadSplitLines(const InputSplit& split);
 
 /// One registered block of a columnar (SMCOLV1/SMCOLV2) file: a
 /// row-disjoint household range plus its modeled on-disk bytes. The

@@ -1,9 +1,7 @@
 #include "engines/cluster_task_util.h"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "common/string_util.h"
 #include "obs/metrics.h"
 
 namespace smartmeter::engines::internal {
@@ -31,54 +29,6 @@ void AssembleSeries(std::vector<HourRecord>* records,
     consumption->push_back(r.consumption);
     temperature->push_back(r.temperature);
   }
-}
-
-Result<HouseholdLine> ParseHouseholdLine(std::string_view line) {
-  // Single pass over the line: no field vector is materialized. A format
-  // 2 line holds a whole year (8760 values), so the old split-then-parse
-  // allocated a ~9k-entry vector per household just to throw it away.
-  const size_t id_end = line.find(',');
-  if (id_end == std::string_view::npos) {
-    return Status::Corruption("household line with no readings");
-  }
-  HouseholdLine parsed;
-  SM_ASSIGN_OR_RETURN(parsed.household_id,
-                      ParseInt64(line.substr(0, id_end)));
-  parsed.consumption.reserve(
-      static_cast<size_t>(std::count(line.begin(), line.end(), ',')));
-  size_t pos = id_end + 1;
-  for (;;) {
-    const size_t comma = line.find(',', pos);
-    const std::string_view field =
-        comma == std::string_view::npos ? line.substr(pos)
-                                        : line.substr(pos, comma - pos);
-    SM_ASSIGN_OR_RETURN(double v, ParseDouble(field));
-    parsed.consumption.push_back(v);
-    if (comma == std::string_view::npos) break;
-    pos = comma + 1;
-  }
-  return parsed;
-}
-
-Result<std::vector<double>> ReadTemperatureSidecar(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return Status::IOError("missing temperature sidecar " + path);
-  }
-  std::vector<double> values;
-  char line[64];
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    std::string_view view = TrimWhitespace(line);
-    if (view.empty()) continue;
-    Result<double> v = ParseDouble(view);
-    if (!v.ok()) {
-      std::fclose(f);
-      return v.status();
-    }
-    values.push_back(*v);
-  }
-  std::fclose(f);
-  return values;
 }
 
 }  // namespace smartmeter::engines::internal

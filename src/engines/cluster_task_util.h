@@ -1,12 +1,9 @@
 #ifndef SMARTMETER_ENGINES_CLUSTER_TASK_UTIL_H_
 #define SMARTMETER_ENGINES_CLUSTER_TASK_UTIL_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
-
-#include "common/result.h"
 
 namespace smartmeter::engines::internal {
 
@@ -24,17 +21,6 @@ struct HourRecord {
 void AssembleSeries(std::vector<HourRecord>* records,
                     std::vector<double>* consumption,
                     std::vector<double>* temperature);
-
-/// One household parsed from a format-2 line: "id,c0,c1,...".
-struct HouseholdLine {
-  int64_t household_id = 0;
-  std::vector<double> consumption;
-};
-
-Result<HouseholdLine> ParseHouseholdLine(std::string_view line);
-
-/// Reads a "<path>.temperature" sidecar (one value per line).
-Result<std::vector<double>> ReadTemperatureSidecar(const std::string& path);
 
 /// Records driver-side columnar block pruning (blocks whose household
 /// range missed a scoped scan, so no task was ever created for them) in

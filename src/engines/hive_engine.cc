@@ -10,6 +10,7 @@
 #include "engines/engine_util.h"
 #include "engines/plan_builders.h"
 #include "obs/trace.h"
+#include "storage/csv.h"
 
 namespace smartmeter::engines {
 
@@ -164,7 +165,7 @@ Result<exec::Plan> HiveEngine::BuildPlan(const TaskOptions& options) const {
         // via the distributed cache.
         plan.label = "hive/" + task + "/format2";
         SM_ASSIGN_OR_RETURN(std::vector<double> sidecar,
-                            internal::ReadTemperatureSidecar(
+                            storage::ReadTemperatureSidecar(
                                 source_.files.front() + ".temperature"));
         kernel.fuse_scan = true;
         kernel.broadcast_bytes = static_cast<int64_t>(sidecar.size()) * 8;

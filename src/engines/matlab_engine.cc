@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/task_types.h"
 #include "engines/engine_util.h"
@@ -84,6 +85,11 @@ Result<MeterDataset> MatlabEngine::ParseAll() const {
       series.household_id = id;
       series.consumption.reserve(keyed.size());
       for (const auto& [hour, value] : keyed) {
+        if (hour != static_cast<int32_t>(series.consumption.size())) {
+          return Status::Corruption(StringPrintf(
+              "household %lld: hour %d out of sequence (expected %zu)",
+              static_cast<long long>(id), hour, series.consumption.size()));
+        }
         series.consumption.push_back(value);
       }
       if (temperature.empty()) {

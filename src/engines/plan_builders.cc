@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <string_view>
 #include <utility>
 
-#include "engines/cluster_task_util.h"
 #include "storage/column_store.h"
 #include "storage/csv.h"
 
@@ -148,15 +148,19 @@ exec::ScanOp SplitReadingsScan(std::vector<cluster::InputSplit> splits,
                            cluster::TaskStats* stats) -> Status {
     const cluster::InputSplit& split =
         (*shared)[static_cast<size_t>(partition)];
-    SM_ASSIGN_OR_RETURN(std::vector<std::string> lines,
-                        cluster::ReadSplitLines(split));
-    out->reserve(lines.size());
-    for (const std::string& line : lines) {
-      SM_ASSIGN_OR_RETURN(storage::ReadingRow row,
-                          storage::ParseReadingRow(line));
+    // Each task re-parses its split's text, as Spark and Hive do, but in
+    // place: rows are parsed out of the reader's block buffer into a
+    // vector reserved to the split's exact line count.
+    storage::ReadingCsvReader reader(split.path, split.offset, split.length);
+    SM_RETURN_IF_ERROR(reader.Open());
+    SM_ASSIGN_OR_RETURN(const size_t rows, reader.CountRows());
+    out->reserve(rows);
+    storage::ReadingRow row;
+    while (reader.Next(&row)) {
       out->push_back({row.household_id, row.hour, row.consumption,
                       row.temperature});
     }
+    SM_RETURN_IF_ERROR(reader.status());
     stats->input_bytes = split.length;
     stats->files_opened = split.opens_file ? 1 : 0;
     stats->fixed_seconds = extra_seconds_per_mb *
@@ -181,17 +185,18 @@ exec::ScanOp SplitSeriesScan(std::vector<cluster::InputSplit> splits,
                               cluster::TaskStats* stats) -> Status {
     const cluster::InputSplit& split =
         (*shared)[static_cast<size_t>(partition)];
-    SM_ASSIGN_OR_RETURN(std::vector<std::string> lines,
-                        cluster::ReadSplitLines(split));
-    out->reserve(lines.size());
-    for (const std::string& line : lines) {
-      SM_ASSIGN_OR_RETURN(internal::HouseholdLine parsed,
-                          internal::ParseHouseholdLine(line));
+    storage::LineReader lines(split.path, split.offset, split.length);
+    SM_RETURN_IF_ERROR(lines.Open());
+    std::string_view line;
+    while (lines.Next(&line)) {
+      Result<ConsumerSeries> parsed = storage::ParseHouseholdLine(line);
+      if (!parsed.ok()) return lines.Annotate(parsed.status());
       exec::SeriesRecord record;
-      record.household_id = parsed.household_id;
-      record.consumption = std::move(parsed.consumption);
+      record.household_id = parsed->household_id;
+      record.consumption = std::move(parsed->consumption);
       out->push_back(std::move(record));
     }
+    SM_RETURN_IF_ERROR(lines.status());
     stats->input_bytes = split.length;
     stats->files_opened = split.opens_file ? 1 : 0;
     return Status::OK();

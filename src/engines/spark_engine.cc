@@ -10,6 +10,7 @@
 #include "engines/engine_util.h"
 #include "engines/plan_builders.h"
 #include "obs/trace.h"
+#include "storage/csv.h"
 
 namespace smartmeter::engines {
 
@@ -159,7 +160,7 @@ Result<exec::Plan> SparkEngine::BuildPlan(const TaskOptions& options) const {
     // at the task.
     plan.label = "spark/" + task + "/format2";
     SM_ASSIGN_OR_RETURN(std::vector<double> sidecar,
-                        internal::ReadTemperatureSidecar(
+                        storage::ReadTemperatureSidecar(
                             source_.files.front() + ".temperature"));
     kernel.broadcast_bytes +=
         16 + static_cast<int64_t>(sidecar.size()) * 8;

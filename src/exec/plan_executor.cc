@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/histogram_task.h"
 #include "core/par_task.h"
@@ -80,21 +81,30 @@ class ErrorCollector {
 };
 
 /// Assembles a raw shuffled record in place: sort by hour, split into
-/// aligned consumption / temperature columns.
-void AssembleRecord(SeriesRecord* record) {
-  if (record->raw.empty()) return;
+/// aligned consumption / temperature columns. The hours must run 0, 1,
+/// 2, ... as the loaders require, so a gap, a duplicate or a stray hour
+/// in the input is Corruption on this path too.
+Status AssembleRecord(SeriesRecord* record) {
+  if (record->raw.empty()) return Status::OK();
   std::sort(record->raw.begin(), record->raw.end(),
             [](const ReadingRecord& a, const ReadingRecord& b) {
               return a.hour < b.hour;
             });
   record->consumption.reserve(record->raw.size());
   record->temperature.reserve(record->raw.size());
-  for (const ReadingRecord& r : record->raw) {
+  for (size_t h = 0; h < record->raw.size(); ++h) {
+    const ReadingRecord& r = record->raw[h];
+    if (r.hour < 0 || static_cast<size_t>(r.hour) != h) {
+      return Status::Corruption(StringPrintf(
+          "household %lld: hour %d out of sequence (expected %zu)",
+          static_cast<long long>(record->household_id), r.hour, h));
+    }
     record->consumption.push_back(r.consumption);
     record->temperature.push_back(r.temperature);
   }
   record->raw.clear();
   record->raw.shrink_to_fit();
+  return Status::OK();
 }
 
 /// Runs one per-household kernel over an assembled series record and
@@ -104,7 +114,7 @@ Status ComputeSeries(const QueryContext& ctx, const TaskOptions& options,
                      SeriesRecord* record,
                      const std::vector<double>* shared_temperature,
                      core::ThreeLinePhases* phases, TaskResultSet* out) {
-  AssembleRecord(record);
+  SM_RETURN_IF_ERROR(AssembleRecord(record));
   std::span<const double> temperature(record->temperature);
   if (temperature.empty() && shared_temperature != nullptr) {
     temperature = std::span<const double>(*shared_temperature);
@@ -441,19 +451,35 @@ Status Execution::RunShuffle(const PlanStage& stage, const ShuffleOp& op) {
       int64_t moved_bytes = 0;
       SM_RETURN_IF_ERROR(RunPartitions(
           static_cast<size_t>(parts), [&](int p, TaskStats* stats) -> Status {
+            const size_t bucket = static_cast<size_t>(p);
+            // Size each household's group from its bucket sizes, then
+            // free every bucket as soon as its records are merged: the
+            // records are trivially copyable, so a move leaves the
+            // bucket allocated, and the shuffled records would otherwise
+            // be held twice until the stage ends.
+            std::map<int64_t, size_t> sizes;
+            for (const auto& per_input : buckets) {
+              if (bucket >= per_input.size()) continue;
+              for (const auto& [key, values] : per_input[bucket]) {
+                sizes[key] += values.size();
+              }
+            }
             std::map<int64_t, std::vector<ReadingRecord>> merged;
+            for (const auto& [key, size] : sizes) {
+              merged[key].reserve(size);
+            }
             int64_t bytes = 0;
             for (auto& per_input : buckets) {
-              if (static_cast<size_t>(p) >= per_input.size()) continue;
-              for (auto& [key, values] : per_input[static_cast<size_t>(p)]) {
+              if (bucket >= per_input.size()) continue;
+              for (auto& [key, values] : per_input[bucket]) {
                 bytes += kKeyBytes + kVectorHeaderBytes +
                          kRecordPayloadBytes *
                              static_cast<int64_t>(values.size());
                 auto& dst = merged[key];
-                dst.insert(dst.end(),
-                           std::make_move_iterator(values.begin()),
-                           std::make_move_iterator(values.end()));
+                dst.insert(dst.end(), values.begin(), values.end());
+                values = {};
               }
+              per_input[bucket].clear();
             }
             stats->shuffle_bytes = bytes;
             auto& out = series_[static_cast<size_t>(p)];
@@ -687,7 +713,7 @@ Status Execution::SimilarityOverSeries(const KernelOp& op) {
   for (auto& partition : series_) {
     SM_RETURN_IF_ERROR(ctx_.CheckNotStopped());
     for (SeriesRecord& record : partition) {
-      AssembleRecord(&record);
+      SM_RETURN_IF_ERROR(AssembleRecord(&record));
       table.push_back(std::move(record));
     }
   }

@@ -156,10 +156,17 @@ Result<MeterDataset> RowStore::ScanAll() const {
   if (groups.empty()) {
     return Status::InvalidArgument("row store is empty");
   }
+  // Hours must run 0, 1, 2, ... everywhere, as the CSV loaders require.
   MeterDataset dataset;
   std::vector<double> temp;
   temp.reserve(temperature.size());
-  for (const auto& [hour, value] : temperature) temp.push_back(value);
+  for (const auto& [hour, value] : temperature) {
+    if (hour != static_cast<int32_t>(temp.size())) {
+      return Status::Corruption(
+          StringPrintf("temperature hours not dense at %d", hour));
+    }
+    temp.push_back(value);
+  }
   dataset.SetTemperature(std::move(temp));
   for (auto& [id, rows] : groups) {
     std::sort(rows.begin(), rows.end());
@@ -167,6 +174,11 @@ Result<MeterDataset> RowStore::ScanAll() const {
     series.household_id = id;
     series.consumption.reserve(rows.size());
     for (const auto& [hour, value] : rows) {
+      if (hour != static_cast<int32_t>(series.consumption.size())) {
+        return Status::Corruption(StringPrintf(
+            "household %lld: hour %d out of sequence (expected %zu)",
+            static_cast<long long>(id), hour, series.consumption.size()));
+      }
       series.consumption.push_back(value);
     }
     dataset.AddConsumer(std::move(series));

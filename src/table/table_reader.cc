@@ -218,18 +218,15 @@ Status BlockStoreReader::Open() {
   open_ = false;
   const std::vector<cluster::InputSplit> splits =
       splittable_ ? store_->SplittableSplits() : store_->WholeFileSplits();
-  std::vector<storage::ReadingRow> rows;
+  storage::ReadingAssembler assembler;
   for (const cluster::InputSplit& split : splits) {
-    SM_ASSIGN_OR_RETURN(std::vector<std::string> lines,
-                        cluster::ReadSplitLines(split));
-    rows.reserve(rows.size() + lines.size());
-    for (const std::string& line : lines) {
-      SM_ASSIGN_OR_RETURN(storage::ReadingRow row,
-                          storage::ParseReadingRow(line));
-      rows.push_back(row);
-    }
+    storage::ReadingCsvReader reader(split.path, split.offset, split.length);
+    SM_RETURN_IF_ERROR(reader.Open());
+    storage::ReadingRow row;
+    while (reader.Next(&row)) assembler.Add(row);
+    SM_RETURN_IF_ERROR(reader.status());
   }
-  SM_ASSIGN_OR_RETURN(dataset_, storage::AssembleReadingRows(rows));
+  SM_ASSIGN_OR_RETURN(dataset_, assembler.Finish());
   open_ = true;
   return Status::OK();
 }

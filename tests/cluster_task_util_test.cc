@@ -2,6 +2,7 @@
 
 #include "engines/cluster_task_util.h"
 #include "engines/task_api.h"
+#include "storage/csv.h"
 
 namespace smartmeter::engines::internal {
 namespace {
@@ -24,6 +25,8 @@ TEST(AssembleSeriesTest, EmptyInput) {
   EXPECT_TRUE(consumption.empty());
   EXPECT_TRUE(temperature.empty());
 }
+
+using storage::ParseHouseholdLine;
 
 TEST(ParseHouseholdLineTest, ParsesIdAndReadings) {
   auto parsed = ParseHouseholdLine("42,0.5,1.25,0.75");

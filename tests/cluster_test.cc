@@ -1,7 +1,11 @@
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +13,7 @@
 #include "cluster/cost_model.h"
 #include "cluster/task_scheduler.h"
 #include "common/rng.h"
+#include "storage/csv.h"
 
 namespace smartmeter::cluster {
 namespace {
@@ -42,8 +47,47 @@ class ClusterTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// Split reading (TextInputFormat semantics)
+// Split reading (TextInputFormat semantics, storage::LineReader)
 // ---------------------------------------------------------------------------
+
+/// The lines one split owns, checked against the split's own line count.
+std::vector<std::string> ReadSplit(const InputSplit& split) {
+  storage::LineReader reader(split.path, split.offset, split.length);
+  EXPECT_TRUE(reader.Open().ok());
+  const Result<size_t> count = reader.CountLines();
+  EXPECT_TRUE(count.ok());
+  std::vector<std::string> lines;
+  std::string_view line;
+  while (reader.Next(&line)) lines.emplace_back(line);
+  EXPECT_TRUE(reader.status().ok()) << reader.status().ToString();
+  // No line in these files is blank, so the count is exact.
+  if (count.ok()) {
+    EXPECT_EQ(*count, lines.size());
+  }
+  return lines;
+}
+
+/// Every row the reader yields, in file order.
+std::vector<storage::ReadingRow> ReadRows(storage::ReadingCsvReader* reader) {
+  EXPECT_TRUE(reader->Open().ok());
+  std::vector<storage::ReadingRow> rows;
+  storage::ReadingRow row;
+  while (reader->Next(&row)) rows.push_back(row);
+  EXPECT_TRUE(reader->status().ok()) << reader->status().ToString();
+  return rows;
+}
+
+bool SameRows(const std::vector<storage::ReadingRow>& a,
+              const std::vector<storage::ReadingRow>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const storage::ReadingRow& x,
+                       const storage::ReadingRow& y) {
+                      return x.household_id == y.household_id &&
+                             x.hour == y.hour &&
+                             x.consumption == y.consumption &&
+                             x.temperature == y.temperature;
+                    });
+}
 
 TEST_F(ClusterTest, SplitsCoverEveryLineExactlyOnce) {
   // Random lines, random block size: union of split reads == file lines.
@@ -66,9 +110,8 @@ TEST_F(ClusterTest, SplitsCoverEveryLineExactlyOnce) {
     ASSERT_TRUE(store.AddFile(path).ok());
     std::vector<std::string> collected;
     for (const InputSplit& split : store.SplittableSplits()) {
-      auto lines = ReadSplitLines(split);
-      ASSERT_TRUE(lines.ok());
-      collected.insert(collected.end(), lines->begin(), lines->end());
+      const std::vector<std::string> lines = ReadSplit(split);
+      collected.insert(collected.end(), lines.begin(), lines.end());
     }
     // Order within a split is file order; splits are in offset order.
     EXPECT_EQ(collected, expected) << "block=" << block;
@@ -81,12 +124,90 @@ TEST_F(ClusterTest, FileWithoutTrailingNewline) {
   ASSERT_TRUE(store.AddFile(path).ok());
   std::vector<std::string> collected;
   for (const InputSplit& split : store.SplittableSplits()) {
-    auto lines = ReadSplitLines(split);
-    ASSERT_TRUE(lines.ok());
-    collected.insert(collected.end(), lines->begin(), lines->end());
+    const std::vector<std::string> lines = ReadSplit(split);
+    collected.insert(collected.end(), lines.begin(), lines.end());
   }
   const std::vector<std::string> expected = {"a", "bb", "ccc"};
   EXPECT_EQ(collected, expected);
+}
+
+TEST_F(ClusterTest, SplitRowsMatchWholeFileAtEveryBlockSize) {
+  // CRLF endings, a blank line, a line with surrounding whitespace and an
+  // unterminated last line. Every block size from 1 byte to the whole
+  // file must hand each row to exactly one split, in file order.
+  const std::string contents =
+      "101,0,0.5000,1.00\r\n"
+      "102,0,0.2500,1.00\r\n"
+      "\r\n"
+      "101,1,0.7500,2.00\r\n"
+      "  102,1,1.0000,2.00 \r\n"
+      "101,2,0.1250,3.00\r\n"
+      "102,2,0.3750,3.00";
+  const std::string path = WriteFile("crlf.csv", contents);
+  storage::ReadingCsvReader whole_reader(path);
+  const std::vector<storage::ReadingRow> whole = ReadRows(&whole_reader);
+  ASSERT_EQ(whole.size(), 6u);
+  const Result<size_t> whole_lines = whole_reader.CountRows();
+  ASSERT_TRUE(whole_lines.ok());
+  EXPECT_EQ(*whole_lines, 7u);  // The blank line counts; it yields no row.
+
+  bool boundary_on_line_start = false;
+  const int64_t size = static_cast<int64_t>(contents.size());
+  for (int64_t block = 1; block <= size; ++block) {
+    BlockStore store(3, block);
+    ASSERT_TRUE(store.AddFile(path).ok());
+    std::vector<storage::ReadingRow> collected;
+    size_t counted = 0;
+    for (const InputSplit& split : store.SplittableSplits()) {
+      if (split.offset > 0 && contents[split.offset - 1] == '\n') {
+        boundary_on_line_start = true;
+      }
+      storage::ReadingCsvReader reader(split.path, split.offset,
+                                       split.length);
+      const std::vector<storage::ReadingRow> rows = ReadRows(&reader);
+      collected.insert(collected.end(), rows.begin(), rows.end());
+      const Result<size_t> lines = reader.CountRows();
+      ASSERT_TRUE(lines.ok());
+      EXPECT_GE(*lines, rows.size()) << "block=" << block;
+      counted += *lines;
+    }
+    EXPECT_TRUE(SameRows(collected, whole)) << "block=" << block;
+    // The splits' line counts partition the file's lines.
+    EXPECT_EQ(counted, *whole_lines) << "block=" << block;
+  }
+  EXPECT_TRUE(boundary_on_line_start);
+}
+
+TEST_F(ClusterTest, SplitRowsMatchWholeFileAcrossReadBlocks) {
+  // Splits and lines that straddle the reader's 64 KiB read blocks.
+  std::string contents;
+  for (int h = 0; h < 3000; ++h) {
+    for (int id = 1; id <= 4; ++id) {
+      contents += std::to_string(1000 + id) + "," + std::to_string(h) +
+                  ",0." + std::to_string(1000 + h % 9000) + ",1.50\n";
+    }
+  }
+  ASSERT_GT(contents.size(), size_t{3} * 64 * 1024);
+  const std::string path = WriteFile("big.csv", contents);
+  storage::ReadingCsvReader whole_reader(path);
+  const std::vector<storage::ReadingRow> whole = ReadRows(&whole_reader);
+  ASSERT_EQ(whole.size(), 12000u);
+  for (int64_t block : {int64_t{997}, int64_t{65535}, int64_t{65536},
+                        int64_t{65537}, int64_t{100003}}) {
+    BlockStore store(4, block);
+    ASSERT_TRUE(store.AddFile(path).ok());
+    std::vector<storage::ReadingRow> collected;
+    for (const InputSplit& split : store.SplittableSplits()) {
+      storage::ReadingCsvReader reader(split.path, split.offset,
+                                       split.length);
+      const std::vector<storage::ReadingRow> rows = ReadRows(&reader);
+      const Result<size_t> lines = reader.CountRows();
+      ASSERT_TRUE(lines.ok());
+      EXPECT_EQ(*lines, rows.size()) << "block=" << block;
+      collected.insert(collected.end(), rows.begin(), rows.end());
+    }
+    EXPECT_TRUE(SameRows(collected, whole)) << "block=" << block;
+  }
 }
 
 TEST_F(ClusterTest, WholeFileSplitsOnePerFile) {
@@ -97,9 +218,7 @@ TEST_F(ClusterTest, WholeFileSplitsOnePerFile) {
   ASSERT_TRUE(store.AddFile((dir_ / "b.txt").string()).ok());
   const auto splits = store.WholeFileSplits();
   ASSERT_EQ(splits.size(), 2u);
-  auto lines_a = ReadSplitLines(splits[0]);
-  ASSERT_TRUE(lines_a.ok());
-  EXPECT_EQ(lines_a->size(), 2u);
+  EXPECT_EQ(ReadSplit(splits[0]).size(), 2u);
   EXPECT_EQ(store.num_files(), 2u);
   EXPECT_EQ(store.total_bytes(), 6);
 }

@@ -199,6 +199,128 @@ TEST_F(PlanTest, FiveEnginesBitIdenticalOverSameBytes) {
   }
 }
 
+TEST_F(PlanTest, FiveEnginesAgreeOnTheSameBytes) {
+  // The loaders and the Spark/Hive split scans read text through one line
+  // reader, so they share one line rule (trim, skip blank lines) and one
+  // set of statuses for bad rows.
+  datagen::SeedGeneratorOptions options;
+  options.num_households = 3;
+  options.hours = 48;
+  options.seed = 7;
+  const MeterDataset dataset = *datagen::GenerateSeedDataset(options);
+  const std::string lf_path = (*dir_ / "agree_lf.csv").string();
+  ASSERT_TRUE(storage::WriteReadingsCsv(dataset, lf_path).ok());
+  std::string lf;
+  {
+    FILE* f = std::fopen(lf_path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char chunk[4096];
+    size_t got;
+    while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+      lf.append(chunk, got);
+    }
+    std::fclose(f);
+  }
+  const auto write = [](const std::string& path, const std::string& text) {
+    FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), f), text.size());
+    std::fclose(f);
+  };
+  std::string crlf;
+  for (char c : lf) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  crlf += "\r\n";  // The file ends in a blank line.
+
+  // Tiny HDFS blocks, so the cluster scans split the file many times.
+  const auto run = [this](const std::string& tag, const std::string& path,
+                          std::vector<TaskResultSet>* results) {
+    std::vector<std::unique_ptr<AnalyticsEngine>> engines;
+    engines.push_back(
+        std::make_unique<SystemCEngine>((*dir_ / ("spool_" + tag)).string()));
+    engines.push_back(std::make_unique<MadlibEngine>());
+    engines.push_back(std::make_unique<MatlabEngine>());
+    engines.push_back(std::make_unique<SparkEngine>(SparkOptions(512)));
+    engines.push_back(std::make_unique<HiveEngine>(HiveOptions(512)));
+    const DataSource source = *DataSource::SingleCsv(path);
+    std::vector<Status> statuses;
+    for (auto& engine : engines) {
+      TaskResultSet out;
+      auto attach = engine->Attach(source);
+      if (!attach.ok()) {
+        statuses.push_back(attach.status());
+      } else {
+        statuses.push_back(
+            engine
+                ->RunTask(TaskOptions::Default(core::TaskType::kHistogram),
+                          &out)
+                .status());
+      }
+      if (results != nullptr) results->push_back(std::move(out));
+    }
+    return statuses;
+  };
+
+  // CRLF endings and a trailing blank line: every engine gives the
+  // histogram System C gives over the plain LF file.
+  std::vector<TaskResultSet> baseline;
+  for (const Status& status : run("agree_lf", lf_path, &baseline)) {
+    ASSERT_TRUE(status.ok()) << status.ToString();
+  }
+  const std::string crlf_path = (*dir_ / "agree_crlf.csv").string();
+  write(crlf_path, crlf);
+  std::vector<TaskResultSet> over_crlf;
+  const std::vector<Status> crlf_statuses =
+      run("agree_crlf", crlf_path, &over_crlf);
+  for (size_t e = 0; e < crlf_statuses.size(); ++e) {
+    ASSERT_TRUE(crlf_statuses[e].ok())
+        << "engine " << e << ": " << crlf_statuses[e].ToString();
+    SCOPED_TRACE("engine " + std::to_string(e));
+    ExpectBitIdentical(over_crlf[e], baseline[0], core::TaskType::kHistogram);
+  }
+
+  // A malformed consumption field: Corruption everywhere, and the cluster
+  // scans name the file, the line's byte offset and the column.
+  const size_t bad_line = crlf.find("\r\n", crlf.size() / 2) + 2;
+  const size_t bad_end = crlf.find("\r\n", bad_line);
+  const std::string good_row = crlf.substr(bad_line, bad_end - bad_line);
+  const size_t second_comma = good_row.find(',', good_row.find(',') + 1);
+  std::string malformed = crlf;
+  malformed.replace(bad_line, bad_end - bad_line,
+                    good_row.substr(0, second_comma + 1) + "abc,1.00");
+  const std::string malformed_path = (*dir_ / "agree_bad.csv").string();
+  write(malformed_path, malformed);
+  const std::vector<Status> bad_statuses =
+      run("agree_bad", malformed_path, nullptr);
+  for (size_t e = 0; e < bad_statuses.size(); ++e) {
+    EXPECT_EQ(bad_statuses[e].code(), StatusCode::kCorruption)
+        << "engine " << e << ": " << bad_statuses[e].ToString();
+  }
+  for (size_t e : {size_t{3}, size_t{4}}) {  // Spark, Hive.
+    const std::string& message = bad_statuses[e].message();
+    EXPECT_NE(message.find(malformed_path), std::string::npos) << message;
+    EXPECT_NE(message.find("byte " + std::to_string(bad_line)),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("column " + std::to_string(second_comma + 2)),
+              std::string::npos)
+        << message;
+  }
+
+  // An hour no file could fill: Corruption, never an allocation sized by
+  // the hour.
+  const std::string huge_hour_path = (*dir_ / "agree_hour.csv").string();
+  write(huge_hour_path, lf + "1,2147483647,0.5000,1.00\n");
+  const std::vector<Status> hour_statuses =
+      run("agree_hour", huge_hour_path, nullptr);
+  for (size_t e = 0; e < hour_statuses.size(); ++e) {
+    EXPECT_EQ(hour_statuses[e].code(), StatusCode::kCorruption)
+        << "engine " << e << ": " << hour_statuses[e].ToString();
+  }
+}
+
 TEST_F(PlanTest, FiveEnginesBitIdenticalAcrossColumnFormats) {
   // The SMCOLV1 -> SMCOLV2 migration is a pure storage change: every
   // engine fed the compressed file must produce the same bits as when

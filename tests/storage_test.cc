@@ -175,6 +175,194 @@ TEST_F(StorageTest, ReadRejectsRaggedHouseholds) {
   EXPECT_FALSE(ReadReadingsCsv(Path("ragged.csv")).ok());
 }
 
+TEST_F(StorageTest, ParseReadingRowBoundsTheHour) {
+  EXPECT_TRUE(ParseReadingRow("1,2147483647,0.5,1.0").ok());
+  EXPECT_EQ(ParseReadingRow("1,2147483648,0.5,1.0").status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(ParseReadingRow("1,-1,0.5,1.0").status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST_F(StorageTest, ReaderErrorNamesLineByteAndColumn) {
+  {
+    FILE* f = fopen(Path("bad.csv").c_str(), "w");
+    fputs("1,0,0.5,1.0\n\n1,1,x,1.0\n", f);
+    fclose(f);
+  }
+  ReadingCsvReader reader(Path("bad.csv"));
+  ASSERT_TRUE(reader.Open().ok());
+  ReadingRow row;
+  EXPECT_TRUE(reader.Next(&row));
+  EXPECT_FALSE(reader.Next(&row));
+  EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(reader.status().message(),
+            Path("bad.csv") +
+                ":3 (byte 13): bad consumption 'x' at column 5");
+}
+
+std::vector<ReadingRow> RowsOf(const MeterDataset& ds) {
+  std::vector<ReadingRow> rows;
+  for (size_t h = 0; h < ds.hours(); ++h) {
+    for (const ConsumerSeries& c : ds.consumers()) {
+      rows.push_back({c.household_id, static_cast<int32_t>(h),
+                      c.consumption[h], ds.temperature()[h]});
+    }
+  }
+  return rows;
+}
+
+void ExpectSameDataset(const MeterDataset& a, const MeterDataset& b) {
+  ASSERT_EQ(a.num_consumers(), b.num_consumers());
+  EXPECT_EQ(a.temperature(), b.temperature());
+  for (size_t i = 0; i < a.num_consumers(); ++i) {
+    EXPECT_EQ(a.consumer(i).household_id, b.consumer(i).household_id);
+    EXPECT_EQ(a.consumer(i).consumption, b.consumer(i).consumption);
+  }
+}
+
+TEST_F(StorageTest, DenseAssemblyTakesRowsInAnyOrder) {
+  const MeterDataset ds = MakeDataset(5, 30);
+  std::vector<ReadingRow> rows = RowsOf(ds);
+  Rng rng(9);
+  for (size_t i = rows.size(); i > 1; --i) {
+    std::swap(rows[i - 1], rows[rng.UniformInt(i)]);
+  }
+  auto assembled = AssembleReadingRows(rows);
+  ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
+  ExpectSameDataset(*assembled, ds);
+}
+
+TEST_F(StorageTest, DenseAssemblyOrdersByIdAndKeepsFirstTemperature) {
+  // Household 9 arrives first and out of hour order; hour 2's first
+  // temperature (7.0) comes before the prefix reaches hour 2.
+  const std::vector<ReadingRow> rows = {
+      {9, 2, 0.3, 7.0}, {9, 0, 0.1, 5.0}, {9, 1, 0.2, 6.0},
+      {3, 0, 1.1, 50.0}, {3, 1, 1.2, 60.0}, {3, 2, 1.3, 70.0},
+  };
+  auto assembled = AssembleReadingRows(rows);
+  ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
+  ASSERT_EQ(assembled->num_consumers(), 2u);
+  EXPECT_EQ(assembled->consumer(0).household_id, 3);
+  EXPECT_EQ(assembled->consumer(1).household_id, 9);
+  EXPECT_EQ(assembled->consumer(1).consumption,
+            (std::vector<double>{0.1, 0.2, 0.3}));
+  EXPECT_EQ(assembled->temperature(), (std::vector<double>{5.0, 6.0, 7.0}));
+}
+
+TEST_F(StorageTest, DenseAssemblyStatuses) {
+  EXPECT_EQ(AssembleReadingRows({}).status().code(),
+            StatusCode::kInvalidArgument);
+  const auto status_of = [](std::vector<ReadingRow> rows) {
+    return AssembleReadingRows(rows).status().code();
+  };
+  // Gap at hour 2.
+  EXPECT_EQ(status_of({{1, 0, 0.1, 1}, {1, 1, 0.1, 1}, {1, 3, 0.1, 1}}),
+            StatusCode::kCorruption);
+  // Duplicate hour 1.
+  EXPECT_EQ(status_of({{1, 0, 0.1, 1}, {1, 1, 0.1, 1}, {1, 1, 0.2, 1}}),
+            StatusCode::kCorruption);
+  // Ragged: household 2 stops an hour early.
+  EXPECT_EQ(status_of({{1, 0, 0.1, 1}, {2, 0, 0.1, 1}, {1, 1, 0.1, 1}}),
+            StatusCode::kCorruption);
+  // A gap in one household that another household fills.
+  EXPECT_EQ(status_of({{1, 0, 0.1, 1}, {1, 2, 0.1, 1}, {2, 0, 0.1, 1},
+                       {2, 1, 0.1, 1}, {2, 2, 0.1, 1}}),
+            StatusCode::kCorruption);
+  // Hours no input could fill must not size an allocation.
+  EXPECT_EQ(status_of({{1, 0, 0.1, 1}, {1, 2147483647, 0.1, 1}}),
+            StatusCode::kCorruption);
+  EXPECT_EQ(status_of({{1, -5, 0.1, 1}, {1, 0, 0.1, 1}}),
+            StatusCode::kCorruption);
+}
+
+TEST_F(StorageTest, WritersMatchPrintfByteForByte) {
+  // Values that round at the last printed digit, negative zero, large
+  // ids, and hours 0 through 8759.
+  const std::vector<double> edges = {
+      -0.0,     0.0,         0.00005,      0.00015,    0.12345,
+      1.00005,  0.99995,     9.99995,      -1.23455,   2.5e-5,
+      -2.5e-5,  123456.7890, 1e15,         -0.004999,  0.005,
+      0.015,    0.125,       -0.125,       2.675,      -40.005,
+      1e-300,   4503599627370497.5};
+  MeterDataset ds;
+  const size_t hours = 8760;
+  std::vector<double> temp(hours);
+  for (size_t h = 0; h < hours; ++h) temp[h] = edges[(h * 7) % edges.size()];
+  ds.SetTemperature(temp);
+  for (int64_t id : {int64_t{1}, int64_t{123456789012},
+                     int64_t{9223372036854775807}}) {
+    ConsumerSeries c;
+    c.household_id = id;
+    for (size_t h = 0; h < hours; ++h) {
+      c.consumption.push_back(
+          edges[(h + static_cast<size_t>(id % 11)) % edges.size()]);
+    }
+    ds.AddConsumer(std::move(c));
+  }
+  const auto slurp = [](const std::string& path) {
+    std::string out;
+    FILE* f = fopen(path.c_str(), "rb");
+    EXPECT_NE(f, nullptr);
+    if (f == nullptr) return out;
+    char chunk[4096];
+    size_t got;
+    while ((got = fread(chunk, 1, sizeof(chunk), f)) > 0) out.append(chunk, got);
+    fclose(f);
+    return out;
+  };
+  const auto reading = [&ds](const ConsumerSeries& c, size_t h) {
+    char line[1024];
+    snprintf(line, sizeof(line), "%lld,%zu,%.4f,%.2f\n",
+             static_cast<long long>(c.household_id), h, c.consumption[h],
+             ds.temperature()[h]);
+    return std::string(line);
+  };
+
+  std::string expected;
+  for (size_t h = 0; h < hours; ++h) {
+    for (const ConsumerSeries& c : ds.consumers()) expected += reading(c, h);
+  }
+  ASSERT_TRUE(WriteReadingsCsv(ds, Path("all.csv")).ok());
+  EXPECT_EQ(slurp(Path("all.csv")), expected);
+
+  auto parts = WritePartitionedCsv(ds, Path("parts"));
+  ASSERT_TRUE(parts.ok());
+  for (size_t i = 0; i < ds.num_consumers(); ++i) {
+    std::string one;
+    for (size_t h = 0; h < hours; ++h) one += reading(ds.consumer(i), h);
+    EXPECT_EQ(slurp((*parts)[i]), one) << (*parts)[i];
+  }
+
+  auto whole = WriteWholeHouseholdFiles(ds, Path("whole"), 2);
+  ASSERT_TRUE(whole.ok());
+  std::string first_file;
+  for (size_t i : {size_t{0}, size_t{2}}) {
+    for (size_t h = 0; h < hours; ++h) first_file += reading(ds.consumer(i), h);
+  }
+  EXPECT_EQ(slurp(whole->front()), first_file);
+
+  ASSERT_TRUE(WriteHouseholdLinesCsv(ds, Path("lines.csv")).ok());
+  std::string lines;
+  std::string sidecar;
+  char field[1024];
+  for (const ConsumerSeries& c : ds.consumers()) {
+    snprintf(field, sizeof(field), "%lld",
+             static_cast<long long>(c.household_id));
+    lines += field;
+    for (double v : c.consumption) {
+      snprintf(field, sizeof(field), ",%.4f", v);
+      lines += field;
+    }
+    lines += "\n";
+  }
+  for (double t : ds.temperature()) {
+    snprintf(field, sizeof(field), "%.2f\n", t);
+    sidecar += field;
+  }
+  EXPECT_EQ(slurp(Path("lines.csv")), lines);
+  EXPECT_EQ(slurp(Path("lines.csv") + ".temperature"), sidecar);
+}
+
 // ---------------------------------------------------------------------------
 // RowStore
 // ---------------------------------------------------------------------------
