@@ -5,8 +5,8 @@
 //   * per-consumer CSV files (Matlab layout): append 24 lines per file;
 //   * heap-file row store + B+-tree (MADLib layout): tuple appends into
 //     the tail page, WAL included;
-//   * mmap'd column store (System C layout): the household-major
-//     columnar image cannot be appended in place -- rebuild the file.
+//   * SMCOLV2 column file (System C layout): the household-major
+//     compressed image cannot be appended in place -- rebuild the file.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -14,6 +14,7 @@
 #include "storage/column_store.h"
 #include "storage/csv.h"
 #include "storage/row_store.h"
+#include "table/table_reader.h"
 #include "timeseries/calendar.h"
 
 namespace {
@@ -97,7 +98,7 @@ int Run(BenchContext& ctx) {
   // --- Column store (System C). -------------------------------------------
   {
     const std::string image = ctx.workdir() + "/updates.smcol";
-    if (!storage::ColumnStore::WriteFile(**dataset, image).ok()) return 1;
+    if (!storage::ColumnFileWriter::WriteFile(**dataset, image).ok()) return 1;
     // The update: extend every household's segment by one day. The
     // household-major layout leaves no room in place, so the engine
     // rebuilds the image from the merged data.
@@ -113,13 +114,13 @@ int Run(BenchContext& ctx) {
         c.consumption.push_back(c.consumption[static_cast<size_t>(h)]);
       }
     }
-    if (!storage::ColumnStore::WriteFile(merged, image).ok()) return 1;
-    storage::ColumnStore reopened;
-    if (!reopened.OpenMapped(image).ok()) return 1;
+    if (!storage::ColumnFileWriter::WriteFile(merged, image).ok()) return 1;
+    table::ColumnFileReader reopened(image);
+    if (!reopened.Open().ok()) return 1;
     const double seconds = clock.ElapsedSeconds();
     PrintRow({"column store (system-c)", Cell(seconds),
               Cell(seconds * 1e6 / (households * kHoursPerDay)),
-              "full image rebuild + remap"});
+              "full image rebuild + reopen"});
   }
 
   std::printf(

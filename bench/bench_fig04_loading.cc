@@ -59,7 +59,7 @@ int Run(BenchContext& ctx) {
     factory.spool_dir = ctx.SpoolDir("fig04");
     // Every timed load starts from an empty spool: a spool left by an
     // earlier load (or an earlier run in the same workdir) turns System
-    // C's load into a bare mmap.
+    // C's load into a bare open and decode of the cached column file.
     const auto fresh_spool = [&factory]() {
       std::error_code ec;
       std::filesystem::remove_all(factory.spool_dir, ec);

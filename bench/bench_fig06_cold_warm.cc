@@ -4,8 +4,9 @@
 // T3 (continuity adjustment).
 //
 // Expected shape (paper): cold > warm everywhere; Matlab and MADLib pay
-// the most to bring data into memory, System C the least (mmap); within
-// the algorithm T2 (regression) dominates.
+// the most to bring data into memory, System C the least (it decodes its
+// column file, no parsing); within the algorithm T2 (regression)
+// dominates.
 #include <cstdio>
 
 #include "bench_common.h"

@@ -3,8 +3,8 @@
 // paper's `free -m` methodology).
 //
 // Expected shape (paper): Matlab and System C lowest (per-file streaming
-// and mmap respectively); MADLib higher; similarity by far the most
-// memory-hungry task, 3-line the least.
+// and one resident copy of the columns respectively); MADLib higher;
+// similarity by far the most memory-hungry task, 3-line the least.
 #include <cstdio>
 
 #include "bench_common.h"

@@ -126,7 +126,7 @@ int RunSmoke(int argc, char** argv) {
     table::ColumnarCache cache(ctx.SpoolDir("smoke-cache"));
 
     Stopwatch cold_watch;
-    auto cold = cache.OpenOrBuild(*source);  // Miss: parse + build + mmap.
+    auto cold = cache.OpenOrBuild(*source);  // Miss: parse, spool, decode.
     const double cold_seconds = cold_watch.ElapsedSeconds();
     if (!cold.ok()) {
       std::fprintf(stderr, "cache cold build failed: %s\n",
@@ -135,7 +135,7 @@ int RunSmoke(int argc, char** argv) {
     }
 
     Stopwatch warm_watch;
-    auto warm = cache.OpenOrBuild(*source);  // Hit: mmap only.
+    auto warm = cache.OpenOrBuild(*source);  // Hit: decode only.
     auto warm_batch = warm.ok() ? (*warm)->NewBatch()
                                 : Result<table::ColumnarBatch>(warm.status());
     const double warm_seconds = warm_watch.ElapsedSeconds();

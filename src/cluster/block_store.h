@@ -23,7 +23,7 @@ struct InputSplit {
   bool opens_file = true;
 };
 
-/// One registered block of a columnar (SMCOLV1/SMCOLV2) file: a
+/// One registered block of an SMCOLV2 column file: a
 /// row-disjoint household range plus its modeled on-disk bytes. The
 /// registrar (who has the file open) derives these from the format's
 /// block index; the block store only places and prunes them.

@@ -466,34 +466,26 @@ Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec,
     }
   }
 
-  // Storage-format parity: the dataset the engines actually parse,
-  // re-rendered as SMCOLV1 and as SMCOLV2, must reproduce the CSV
-  // baseline bit for bit — compression may not change a single result
-  // bit. The column files are written from the CSV parse (not the
-  // pre-quantization dataset) so all three inputs hold identical values.
+  // Storage parity: the dataset the engines actually parse, rendered as
+  // an SMCOLV2 column file, must reproduce the CSV baseline bit for bit —
+  // compression may not change a single result bit. The column file is
+  // written from the CSV parse (not the pre-quantization dataset) so both
+  // inputs hold identical values.
   {
     SM_ASSIGN_OR_RETURN(MeterDataset parsed,
                         table::ReadDatasetFromSource(base_source));
-    int version = 1;
-    for (const char* leaf : {"/cols.v1.smcol", "/cols.v2.smcol"}) {
-      const std::string path = workdir + leaf;
-      SM_RETURN_IF_ERROR(
-          version == 1 ? storage::ColumnStore::WriteFile(parsed, path)
-                       : storage::ColumnFileWriter::WriteFile(parsed, path));
-      SM_ASSIGN_OR_RETURN(table::DataSource column_source,
-                          table::DataSource::ColumnFile(path));
-      engines::SystemCEngine engine(workdir + "/spool_colv" +
-                                    std::to_string(version));
-      SM_RETURN_IF_ERROR(engine.Attach(column_source).status());
-      TaskResultSet results;
-      SM_RETURN_IF_ERROR(engine.RunTask(options, &results).status());
-      const std::string diff = CompareResults(results, baseline, spec.task);
-      if (!diff.empty()) {
-        outcome.violation = "smcolv" + std::to_string(version) +
-                            " parity vs csv baseline: " + diff;
-        return outcome;
-      }
-      ++version;
+    const std::string path = workdir + "/cols.smcol";
+    SM_RETURN_IF_ERROR(storage::ColumnFileWriter::WriteFile(parsed, path));
+    SM_ASSIGN_OR_RETURN(table::DataSource column_source,
+                        table::DataSource::ColumnFile(path));
+    engines::SystemCEngine engine(workdir + "/spool_columns");
+    SM_RETURN_IF_ERROR(engine.Attach(column_source).status());
+    TaskResultSet results;
+    SM_RETURN_IF_ERROR(engine.RunTask(options, &results).status());
+    const std::string diff = CompareResults(results, baseline, spec.task);
+    if (!diff.empty()) {
+      outcome.violation = "smcolv2 parity vs csv baseline: " + diff;
+      return outcome;
     }
   }
 

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
@@ -45,74 +42,6 @@ uint64_t ChunkSeed(uint64_t base, int chunk) {
   return z ^ (z >> 31);
 }
 
-// Streaming SMCOLV1 writer (the V1 layout is frozen: 24-byte header,
-// ids, household-major consumption, temperature — see ColumnStore).
-// ColumnStore::WriteFile needs the whole dataset in memory; tiers
-// stream, so the fixed layout is emitted section by section here.
-class V1StreamWriter {
- public:
-  explicit V1StreamWriter(std::string path) : path_(std::move(path)) {}
-  ~V1StreamWriter() {
-    if (file_ != nullptr) {
-      std::fclose(file_);
-      std::remove(path_.c_str());
-    }
-  }
-
-  Status Open(uint64_t households, uint64_t hours) {
-    file_ = std::fopen(path_.c_str(), "wb");
-    if (file_ == nullptr) {
-      return Status::IOError("cannot create " + path_);
-    }
-    hours_ = hours;
-    char magic[8] = {'S', 'M', 'C', 'O', 'L', 'V', '1', '\0'};
-    SM_RETURN_IF_ERROR(Write(magic, sizeof(magic)));
-    SM_RETURN_IF_ERROR(Write(&households, sizeof(households)));
-    SM_RETURN_IF_ERROR(Write(&hours, sizeof(hours)));
-    // The id section is fully determined by the count (tier households
-    // are 1..n), so it can be written before any series is generated.
-    for (uint64_t i = 0; i < households; ++i) {
-      const int64_t id = static_cast<int64_t>(i + 1);
-      SM_RETURN_IF_ERROR(Write(&id, sizeof(id)));
-    }
-    return Status::OK();
-  }
-
-  Status AppendHousehold(std::span<const double> consumption) {
-    if (consumption.size() != hours_) {
-      return Status::InvalidArgument("tier series length mismatch");
-    }
-    return Write(consumption.data(), consumption.size() * sizeof(double));
-  }
-
-  Status Finish(std::span<const double> temperature) {
-    if (temperature.size() != hours_) {
-      return Status::InvalidArgument("tier temperature length mismatch");
-    }
-    SM_RETURN_IF_ERROR(
-        Write(temperature.data(), temperature.size() * sizeof(double)));
-    if (std::fclose(file_) != 0) {
-      file_ = nullptr;
-      std::remove(path_.c_str());
-      return Status::IOError("cannot finish " + path_);
-    }
-    file_ = nullptr;
-    return Status::OK();
-  }
-
- private:
-  Status Write(const void* data, size_t bytes) {
-    if (std::fwrite(data, 1, bytes, file_) != bytes) {
-      return Status::IOError("short write to " + path_);
-    }
-    return Status::OK();
-  }
-
-  std::string path_;
-  std::FILE* file_ = nullptr;
-  uint64_t hours_ = 0;
-};
-
 Status GenerateTier(const TierSpec& spec, const std::string& path) {
   // Train the Section 4 generator once on a small synthetic seed drawn
   // from the same RNG seed, then synthesize the tier chunk by chunk. The
@@ -134,14 +63,8 @@ Status GenerateTier(const TierSpec& spec, const std::string& path) {
       seed_dataset.temperature().begin() + spec.hours);
   for (double& v : temperature) v = QuantizeTemperature(v);
 
-  storage::ColumnFileWriter v2(path);
-  V1StreamWriter v1(path);
-  if (spec.format == 2) {
-    SM_RETURN_IF_ERROR(v2.Open(static_cast<size_t>(spec.hours)));
-  } else {
-    SM_RETURN_IF_ERROR(v1.Open(static_cast<uint64_t>(spec.households),
-                               static_cast<uint64_t>(spec.hours)));
-  }
+  storage::ColumnFileWriter writer(path);
+  SM_RETURN_IF_ERROR(writer.Open(static_cast<size_t>(spec.hours)));
 
   for (int begin = 0, chunk = 0; begin < spec.households;
        begin += kTierChunkHouseholds, ++chunk) {
@@ -154,30 +77,24 @@ Status GenerateTier(const TierSpec& spec, const std::string& path) {
     for (const ConsumerSeries& consumer : generated.consumers()) {
       std::vector<double> quantized = consumer.consumption;
       for (double& v : quantized) v = QuantizeConsumption(v);
-      if (spec.format == 2) {
-        SM_RETURN_IF_ERROR(
-            v2.AppendHousehold(consumer.household_id, quantized));
-      } else {
-        SM_RETURN_IF_ERROR(v1.AppendHousehold(quantized));
-      }
+      SM_RETURN_IF_ERROR(
+          writer.AppendHousehold(consumer.household_id, quantized));
     }
   }
-  if (spec.format == 2) return v2.Finish(temperature);
-  return v1.Finish(temperature);
+  return writer.Finish(temperature);
 }
 
 }  // namespace
 
 std::string TierFileName(const TierSpec& spec) {
-  return StringPrintf("tier-%llu-%dx%d-v%d.smcol",
+  return StringPrintf("tier-%llu-%dx%d-v2.smcol",
                       static_cast<unsigned long long>(spec.seed),
-                      spec.households, spec.hours, spec.format);
+                      spec.households, spec.hours);
 }
 
 Result<std::string> EnsureTierColumnFile(const TierSpec& spec,
                                          const std::string& cache_dir) {
-  if (spec.households < 1 || spec.hours < 1 ||
-      (spec.format != 1 && spec.format != 2)) {
+  if (spec.households < 1 || spec.hours < 1) {
     return Status::InvalidArgument("invalid tier spec");
   }
   std::error_code ec;
@@ -187,10 +104,10 @@ Result<std::string> EnsureTierColumnFile(const TierSpec& spec,
   }
   const std::string path = cache_dir + "/" + TierFileName(spec);
   if (std::filesystem::exists(path, ec)) {
-    // Cached hit: the name encodes the full spec, so a sniffable file of
-    // the right generation is the right file.
-    Result<int> format = storage::SniffColumnFileFormat(path);
-    if (format.ok() && *format == spec.format) return path;
+    // Cached hit: the name encodes the full spec, so a file that opens
+    // as SMCOLV2 is the right file.
+    storage::CompressedColumnFile cached;
+    if (cached.Open(path).ok()) return path;
     std::filesystem::remove(path, ec);
   }
   SM_RETURN_IF_ERROR(GenerateTier(spec, path));

@@ -41,7 +41,7 @@ struct TaskRunMetrics {
 /// methodology:
 ///   Attach(source)  -- "loading": whatever the platform does to make
 ///                      data queryable (bulk-load a DBMS table, convert
-///                      and mmap a columnar file, register HDFS files).
+///                      and decode a columnar file, register HDFS files).
 ///   RunTask(...)    -- cold start when called right after Attach.
 ///   WarmUp()        -- pull working data into memory structures.
 ///   RunTask(...)    -- warm start.

@@ -169,11 +169,12 @@ Result<exec::Plan> HiveEngine::BuildPlan(const TaskOptions& options) const {
                                 source_.files.front() + ".temperature"));
         kernel.fuse_scan = true;
         kernel.broadcast_bytes = static_cast<int64_t>(sidecar.size()) * 8;
-        exec::ScanOp scan = planning::SplitSeriesScan(
-            hdfs_->SplittableSplits(), "hdfs-lines");
-        scan.shared_temperature =
-            std::make_shared<const std::vector<double>>(std::move(sidecar));
-        plan.stages.push_back({"scan", std::move(scan)});
+        plan.stages.push_back(
+            {"scan",
+             planning::SplitSeriesScan(
+                 hdfs_->SplittableSplits(), "hdfs-lines",
+                 std::make_shared<const std::vector<double>>(
+                     std::move(sidecar)))});
         break;
       }
       case table::DataSource::Layout::kWholeFileDir:

@@ -98,6 +98,11 @@ Result<MeterDataset> MatlabEngine::ParseAll() const {
         for (const auto& [hour, value] : keyed_temp) {
           temperature.push_back(value);
         }
+      } else if (series.consumption.size() != temperature.size()) {
+        return Status::Corruption(StringPrintf(
+            "household %lld has %zu hours, expected %zu",
+            static_cast<long long>(id), series.consumption.size(),
+            temperature.size()));
       }
       dataset.AddConsumer(std::move(series));
     }
@@ -115,9 +120,15 @@ Result<MeterDataset> MatlabEngine::ParseAll() const {
   pool.ParallelFor(n, [&](size_t begin, size_t end) {
     std::vector<double> local_temp;
     for (size_t i = begin; i < end; ++i) {
-      const Status st = planning::ParseSingleHouseholdFile(
+      Status st = planning::ParseSingleHouseholdFile(
           source_.files[i], &consumers[i], &local_temp);
       std::lock_guard<std::mutex> lock(mu);
+      if (st.ok() && !temperature.empty() &&
+          consumers[i].consumption.size() != temperature.size()) {
+        st = Status::Corruption(StringPrintf(
+            "%s has %zu hours, expected %zu", source_.files[i].c_str(),
+            consumers[i].consumption.size(), temperature.size()));
+      }
       if (!st.ok()) {
         if (first_error.ok()) first_error = st;
         return;

@@ -1,10 +1,10 @@
 #include "engines/plan_builders.h"
 
-#include <algorithm>
 #include <memory>
 #include <string_view>
 #include <utility>
 
+#include "common/string_util.h"
 #include "storage/column_store.h"
 #include "storage/csv.h"
 
@@ -51,46 +51,24 @@ exec::ScanOp DatasetBatchScan(const MeterDataset* dataset,
 std::vector<cluster::ColumnarBlock> ColumnarFileBlocks(
     const table::ColumnFileReader& reader) {
   std::vector<cluster::ColumnarBlock> blocks;
-  const storage::CompressedColumnFile* compressed = reader.compressed();
-  if (compressed != nullptr) {
-    const size_t hours = compressed->hours();
-    const size_t rows = compressed->num_households();
-    if (hours == 0 || rows == 0) return blocks;
-    for (size_t i = 0; i < compressed->num_consumption_blocks(); ++i) {
-      const storage::CompressedColumnFile::BlockInfo info =
-          compressed->consumption_block(i);
-      // A block owns the rows that START inside it (a row straddling
-      // two blocks belongs to the earlier one), so block row ranges are
-      // disjoint and contiguous even though decoding a boundary row may
-      // touch the neighbour block.
-      cluster::ColumnarBlock block;
-      block.row_begin = (info.value_begin + hours - 1) / hours;
-      block.row_end =
-          (info.value_begin + info.value_count + hours - 1) / hours;
-      block.bytes = info.encoded_bytes;
-      if (block.row_end > block.row_begin) blocks.push_back(block);
-    }
-    if (!blocks.empty()) blocks.back().row_end = rows;
-    return blocks;
-  }
-  // SMCOLV1 has no block index; synthesize chunks holding the same
-  // number of values as an SMCOLV2 block, so both generations produce
-  // comparable task counts.
-  const storage::ColumnStore& store = reader.store();
-  const size_t hours = store.hours();
-  const size_t rows = store.num_households();
-  if (rows == 0) return blocks;
-  const size_t rows_per =
-      std::max<size_t>(
-          1, storage::kColumnBlockValues / std::max<size_t>(1, hours));
-  for (size_t begin = 0; begin < rows; begin += rows_per) {
+  const storage::CompressedColumnFile& compressed = reader.compressed();
+  const size_t hours = compressed.hours();
+  const size_t rows = compressed.num_households();
+  if (hours == 0 || rows == 0) return blocks;
+  for (size_t i = 0; i < compressed.num_consumption_blocks(); ++i) {
+    const storage::CompressedColumnFile::BlockInfo info =
+        compressed.consumption_block(i);
+    // A block owns the rows that START inside it (a row straddling two
+    // blocks belongs to the earlier one), so block row ranges are
+    // disjoint and contiguous even though decoding a boundary row may
+    // touch the neighbour block.
     cluster::ColumnarBlock block;
-    block.row_begin = begin;
-    block.row_end = std::min(rows, begin + rows_per);
-    block.bytes = static_cast<int64_t>((block.row_end - begin) *
-                                       (hours + 1) * sizeof(double));
-    blocks.push_back(block);
+    block.row_begin = (info.value_begin + hours - 1) / hours;
+    block.row_end = (info.value_begin + info.value_count + hours - 1) / hours;
+    block.bytes = info.encoded_bytes;
+    if (block.row_end > block.row_begin) blocks.push_back(block);
   }
+  if (!blocks.empty()) blocks.back().row_end = rows;
   return blocks;
 }
 
@@ -171,18 +149,20 @@ exec::ScanOp SplitReadingsScan(std::vector<cluster::InputSplit> splits,
   return scan;
 }
 
-exec::ScanOp SplitSeriesScan(std::vector<cluster::InputSplit> splits,
-                             std::string source) {
+exec::ScanOp SplitSeriesScan(
+    std::vector<cluster::InputSplit> splits, std::string source,
+    std::shared_ptr<const std::vector<double>> temperature) {
   exec::ScanOp scan;
   scan.kind = exec::ScanOp::Kind::kSeries;
   scan.source = std::move(source);
   scan.partitions = static_cast<int>(splits.size());
+  scan.shared_temperature = temperature;
   auto shared =
       std::make_shared<const std::vector<cluster::InputSplit>>(
           std::move(splits));
-  scan.scan_series = [shared](int partition,
-                              std::vector<exec::SeriesRecord>* out,
-                              cluster::TaskStats* stats) -> Status {
+  scan.scan_series = [shared, temperature](
+                         int partition, std::vector<exec::SeriesRecord>* out,
+                         cluster::TaskStats* stats) -> Status {
     const cluster::InputSplit& split =
         (*shared)[static_cast<size_t>(partition)];
     storage::LineReader lines(split.path, split.offset, split.length);
@@ -191,6 +171,13 @@ exec::ScanOp SplitSeriesScan(std::vector<cluster::InputSplit> splits,
     while (lines.Next(&line)) {
       Result<ConsumerSeries> parsed = storage::ParseHouseholdLine(line);
       if (!parsed.ok()) return lines.Annotate(parsed.status());
+      if (temperature != nullptr &&
+          parsed->consumption.size() != temperature->size()) {
+        return lines.Annotate(Status::Corruption(StringPrintf(
+            "household %lld has %zu readings, the temperature sidecar has %zu",
+            static_cast<long long>(parsed->household_id),
+            parsed->consumption.size(), temperature->size())));
+      }
       exec::SeriesRecord record;
       record.household_id = parsed->household_id;
       record.consumption = std::move(parsed->consumption);

@@ -1,6 +1,7 @@
 #ifndef SMARTMETER_ENGINES_PLAN_BUILDERS_H_
 #define SMARTMETER_ENGINES_PLAN_BUILDERS_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,15 +19,16 @@ namespace smartmeter::engines::planning {
 /// scan, pick a shuffle, price it". Closures capture their inputs by
 /// shared pointer, so plans stay cheap to copy.
 
-/// Views an engine-resident batch (System C's mmap, a warm reader's
-/// batch). `batch` must outlive the plan.
+/// Views an engine-resident batch (System C's decoded column file, a
+/// warm reader's batch). `batch` must outlive the plan.
 exec::ScanOp ResidentBatchScan(const table::ColumnarBatch* batch,
                                std::string source);
 
 /// Like ResidentBatchScan, but backed by the reader that owns `batch`,
 /// so the executor can push a kernel's row scope down into the scan:
 /// `reader->NewScopedBatch` materializes only the scoped rows, and a
-/// block-indexed reader (SMCOLV2) skips non-matching blocks entirely.
+/// block-indexed reader (the column file) skips non-matching blocks
+/// entirely.
 /// Both `reader` and `batch` must outlive the plan.
 exec::ScanOp ReaderBatchScan(const table::TableReader* reader,
                              const table::ColumnarBatch* batch,
@@ -38,16 +40,15 @@ exec::ScanOp DatasetBatchScan(const MeterDataset* dataset,
                               std::string source);
 
 /// The household-range blocks of an opened column file, for
-/// BlockStore::AddColumnarFile. SMCOLV2 blocks mirror the file's own
+/// BlockStore::AddColumnarFile. The blocks mirror the file's own
 /// compression-block index (each block owns the rows that start inside
-/// it); SMCOLV1 files get synthesized fixed-size row chunks so both
-/// generations split into comparably sized cluster tasks.
+/// it).
 std::vector<cluster::ColumnarBlock> ColumnarFileBlocks(
     const table::ColumnFileReader& reader);
 
 /// Decodes columnar splits into per-partition reading rows (one task
-/// per block). Each task decodes only its split's household range —
-/// through the block index for SMCOLV2 — and emits records with the
+/// per block). Each task decodes only its split's household range
+/// through the block index and emits records with the
 /// real per-hour temperature attached, so downstream assembly matches
 /// the text formats bit for bit. `reader` is shared by every task.
 exec::ScanOp ColumnarReadingsScan(
@@ -63,9 +64,12 @@ exec::ScanOp SplitReadingsScan(std::vector<cluster::InputSplit> splits,
 
 /// Reads format 2 splits ("id,c0,c1,..." lines) into per-partition
 /// assembled households (one task per split). Records carry no
-/// temperature; pair with ScanOp::shared_temperature.
-exec::ScanOp SplitSeriesScan(std::vector<cluster::InputSplit> splits,
-                             std::string source);
+/// temperature: a non-null `temperature` (the sidecar) becomes the
+/// scan's ScanOp::shared_temperature, and a line whose value count
+/// differs from it is Corruption naming the line.
+exec::ScanOp SplitSeriesScan(
+    std::vector<cluster::InputSplit> splits, std::string source,
+    std::shared_ptr<const std::vector<double>> temperature = nullptr);
 
 /// Streams one single-household CSV file per partition (Matlab's
 /// file-at-a-time loop over the partitioned layout).

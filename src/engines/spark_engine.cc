@@ -164,11 +164,10 @@ Result<exec::Plan> SparkEngine::BuildPlan(const TaskOptions& options) const {
                             source_.files.front() + ".temperature"));
     kernel.broadcast_bytes +=
         16 + static_cast<int64_t>(sidecar.size()) * 8;
-    exec::ScanOp scan =
-        planning::SplitSeriesScan(std::move(splits), "hdfs-lines");
+    exec::ScanOp scan = planning::SplitSeriesScan(
+        std::move(splits), "hdfs-lines",
+        std::make_shared<const std::vector<double>>(std::move(sidecar)));
     scan.driver_seconds = driver_seconds;
-    scan.shared_temperature =
-        std::make_shared<const std::vector<double>>(std::move(sidecar));
     plan.stages.push_back({"scan", std::move(scan)});
   } else if (whole_files) {
     // Format 3: one partition per whole file, households grouped within

@@ -66,7 +66,7 @@ class SparkEngine : public AnalyticsEngine {
   Options options_;
   table::DataSource source_;
   std::unique_ptr<cluster::BlockStore> hdfs_;
-  // Open handle to an attached SMCOLV1/SMCOLV2 file; its block index is
+  // Open handle to an attached SMCOLV2 file; its block index is
   // registered with `hdfs_` so columnar splits align with the format's
   // own compression blocks, and every simulated task decodes through it.
   std::shared_ptr<table::ColumnFileReader> columnar_reader_;

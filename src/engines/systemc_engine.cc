@@ -25,8 +25,7 @@ Result<double> SystemCEngine::Attach(const table::DataSource& source) {
   prefaulted_ = false;
   batch_ = table::ColumnarBatch();
   if (source.layout == table::DataSource::Layout::kColumnFile) {
-    // Already in the native format (either generation): open it
-    // directly, no spooling.
+    // Already in the native format: open it directly, no spooling.
     auto reader =
         std::make_unique<table::ColumnFileReader>(source.files.front());
     SM_RETURN_IF_ERROR(reader->Open());
@@ -34,8 +33,8 @@ Result<double> SystemCEngine::Attach(const table::DataSource& source) {
   } else {
     // Ingest through the columnar cache: a first attach parses the CSVs
     // once and spools the binary columnar image; any later attach of the
-    // unchanged source is an mmap. Either way the map itself is
-    // near-free, which is System C's Figure 4 advantage.
+    // unchanged source only opens and decodes it, which is System C's
+    // Figure 4 advantage.
     SM_ASSIGN_OR_RETURN(reader_, cache_.OpenOrBuild(source));
   }
   SM_ASSIGN_OR_RETURN(batch_, reader_->NewBatch());
@@ -48,7 +47,8 @@ Result<double> SystemCEngine::WarmUp() {
     return Status::InvalidArgument("system-c: no data attached");
   }
   Stopwatch clock;
-  // Touch every page of the mapping so a warm run never faults.
+  // Touch every page of the resident columns so a warm run never
+  // faults.
   double sink = 0.0;
   for (double v : batch_.consumption_column()) sink += v;
   for (double v : batch_.temperature()) sink += v;

@@ -13,16 +13,17 @@
 namespace smartmeter::engines {
 
 /// Models "System C", the commercial main-memory column store of Section
-/// 5.1: at load time the data is converted once into a binary columnar
-/// file that is memory-mapped, so subsequent access is pointer arithmetic
-/// over contiguous doubles; all statistical operators are the library's
-/// own hand-written kernels (System C ships none). Parallelism is a
-/// native configuration parameter.
+/// 5.1: at load time the data is converted once into an SMCOLV2 column
+/// file, and Attach decodes that file once into resident columns, so
+/// warm scans are spans over contiguous doubles; all statistical
+/// operators are the library's own hand-written kernels (System C ships
+/// none). Parallelism is a native configuration parameter.
 ///
 /// The conversion runs through the shared columnar cache: the first
 /// Attach of a source parses and spools the column file (cache miss);
-/// re-attaching the unchanged source is an mmap with no parsing (cache
-/// hit) — the Figure 6 cold/warm distinction made explicit.
+/// re-attaching the unchanged source opens and decodes the file with no
+/// parsing (cache hit) — the Figure 6 cold/warm distinction made
+/// explicit.
 class SystemCEngine : public AnalyticsEngine {
  public:
   /// `spool_dir` is where the engine materializes its columnar files.

@@ -59,7 +59,7 @@ struct BatchScan {
 
 /// Scan: materializes the plan's input. Exactly one of the three
 /// callbacks is set, matching `kind`:
-///  * kBatch    -- one columnar batch (resident, mmap'd, or parsed); the
+///  * kBatch    -- one columnar batch (resident, decoded, or parsed); the
 ///                 whole-dataset granularity of the single-node engines.
 ///  * kReadings -- per-partition reading rows (splittable cluster scans
 ///                 ahead of a shuffle, or format 3's whole-file splits

@@ -1,6 +1,7 @@
 #include "exec/plan_executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -107,14 +108,32 @@ Status AssembleRecord(SeriesRecord* record) {
   return Status::OK();
 }
 
+/// A ragged table is Corruption too, as the loaders report it: the first
+/// assembled record of a plan sets `table_hours`, and a household with
+/// any other hour count fails, whichever partition it lands in.
+Status CheckTableHours(const SeriesRecord& record,
+                       std::atomic<int64_t>* table_hours) {
+  const int64_t hours = static_cast<int64_t>(record.consumption.size());
+  int64_t expected = -1;
+  if (table_hours->compare_exchange_strong(expected, hours) ||
+      expected == hours) {
+    return Status::OK();
+  }
+  return Status::Corruption(StringPrintf(
+      "household %lld has %lld hours, expected %lld",
+      static_cast<long long>(record.household_id),
+      static_cast<long long>(hours), static_cast<long long>(expected)));
+}
+
 /// Runs one per-household kernel over an assembled series record and
 /// appends the result. Similarity is not per-household and is handled by
 /// the gather path in the executor.
 Status ComputeSeries(const QueryContext& ctx, const TaskOptions& options,
-                     SeriesRecord* record,
+                     SeriesRecord* record, std::atomic<int64_t>* table_hours,
                      const std::vector<double>* shared_temperature,
                      core::ThreeLinePhases* phases, TaskResultSet* out) {
   SM_RETURN_IF_ERROR(AssembleRecord(record));
+  SM_RETURN_IF_ERROR(CheckTableHours(*record, table_hours));
   std::span<const double> temperature(record->temperature);
   if (temperature.empty() && shared_temperature != nullptr) {
     temperature = std::span<const double>(*shared_temperature);
@@ -282,6 +301,9 @@ class Execution {
   /// (Hadoop charges the reduce side; the host regroup itself is free).
   std::vector<int64_t> series_read_bytes_;
   std::shared_ptr<const std::vector<double>> shared_temperature_;
+  /// Hour count of the first series record assembled (-1 before it);
+  /// every other household must match it.
+  std::atomic<int64_t> table_hours_{-1};
 
   // Results in flight.
   std::vector<TaskResultSet> partials_;
@@ -690,8 +712,8 @@ Status Execution::SeriesKernel(const KernelOp& op) {
         }
         for (SeriesRecord& record : *records) {
           SM_RETURN_IF_ERROR(ComputeSeries(ctx_, op.options, &record,
-                                           shared_temperature, &local_phases,
-                                           &partials_[p]));
+                                           &table_hours_, shared_temperature,
+                                           &local_phases, &partials_[p]));
         }
         if (!series_read_bytes_.empty()) {
           stats->shuffle_bytes += series_read_bytes_[p];
@@ -714,6 +736,7 @@ Status Execution::SimilarityOverSeries(const KernelOp& op) {
     SM_RETURN_IF_ERROR(ctx_.CheckNotStopped());
     for (SeriesRecord& record : partition) {
       SM_RETURN_IF_ERROR(AssembleRecord(&record));
+      SM_RETURN_IF_ERROR(CheckTableHours(record, &table_hours_));
       table.push_back(std::move(record));
     }
   }
@@ -880,8 +903,8 @@ Status Execution::RunFused(const PlanStage& scan_stage, const ScanOp& scan,
       }
       for (SeriesRecord& record : records) {
         SM_RETURN_IF_ERROR(ComputeSeries(ctx_, kernel.options, &record,
-                                         shared_temperature, &local_phases,
-                                         &partials_[i]));
+                                         &table_hours_, shared_temperature,
+                                         &local_phases, &partials_[i]));
       }
       std::lock_guard<std::mutex> lock(mu_);
       phases_.Accumulate(local_phases);

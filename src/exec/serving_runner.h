@@ -238,9 +238,8 @@ struct ServingStats {
 /// Each shard owns its own bounded admission queue and its own sessions
 /// (AddSession assigns sessions round-robin across shards). Ownership is
 /// logical — every session attaches the full source and the shard scopes
-/// its scans to its row slice via engines::RowScope, so on one box the
-/// mmap'd pages are physically shared while each shard only ever scans
-/// 1/N of the table.
+/// its scans to its row slice via engines::RowScope, so each shard only
+/// ever scans 1/N of the table.
 ///
 /// Routing: a Household() query runs on the owning shard over that
 /// shard's slice; an all-households query scatters one scoped child per

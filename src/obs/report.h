@@ -65,7 +65,8 @@ struct RunRecord {
   /// `compression_ratio` is decoded bytes / the scanned file's on-disk
   /// bytes — < 1 when pruning plus compression materialize less than the
   /// file's footprint. bench_fig20_storage's synthetic "storage" rows
-  /// record the SMCOLV2-to-SMCOLV1 file-size ratio here instead.
+  /// record the SMCOLV2 file's size over the raw 8-byte columns here
+  /// instead.
   int64_t bytes_scanned = 0;
   int64_t blocks_decoded = 0;
   int64_t blocks_pruned = 0;

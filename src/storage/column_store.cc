@@ -17,9 +17,6 @@ namespace smartmeter::storage {
 
 namespace {
 
-constexpr char kMagic[8] = {'S', 'M', 'C', 'O', 'L', 'V', '1', '\0'};
-constexpr size_t kHeaderBytes = 8 + 8 + 8;
-
 constexpr char kMagicV2[8] = {'S', 'M', 'C', 'O', 'L', 'V', '2', '\0'};
 // magic + households + hours + block_values + footer_offset + checksum.
 constexpr size_t kV2HeaderBytes = 8 + 8 + 8 + 8 + 8 + 8;
@@ -28,211 +25,6 @@ constexpr size_t kV2EntryBytes = 9 * 8;
 // Consumption / temperature / id entry counts preceding the entries.
 constexpr size_t kV2FooterCounts = 3 * 8;
 constexpr size_t kV2MaxBlockValues = size_t{1} << 20;
-
-size_t FileBytes(size_t households, size_t hours) {
-  return kHeaderBytes + households * sizeof(int64_t) +
-         households * hours * sizeof(double) + hours * sizeof(double);
-}
-
-// FileBytes for untrusted (on-disk) header values: fails on arithmetic
-// overflow so a corrupt header cannot wrap the size check below and make
-// a tiny file look consistent with a huge shape.
-bool CheckedFileBytes(uint64_t households, uint64_t hours, size_t* out) {
-  uint64_t ids = 0;
-  uint64_t rows = 0;
-  uint64_t consumption = 0;
-  uint64_t temperature = 0;
-  uint64_t total = kHeaderBytes;
-  if (__builtin_mul_overflow(households, sizeof(int64_t), &ids) ||
-      __builtin_mul_overflow(households, hours, &rows) ||
-      __builtin_mul_overflow(rows, sizeof(double), &consumption) ||
-      __builtin_mul_overflow(hours, sizeof(double), &temperature) ||
-      __builtin_add_overflow(total, ids, &total) ||
-      __builtin_add_overflow(total, consumption, &total) ||
-      __builtin_add_overflow(total, temperature, &total)) {
-    return false;
-  }
-  *out = total;
-  return true;
-}
-
-}  // namespace
-
-ColumnStore::~ColumnStore() { Close(); }
-
-ColumnStore::ColumnStore(ColumnStore&& other) noexcept {
-  *this = std::move(other);
-}
-
-ColumnStore& ColumnStore::operator=(ColumnStore&& other) noexcept {
-  if (this == &other) return *this;
-  Close();
-  mapped_base_ = other.mapped_base_;
-  mapped_size_ = other.mapped_size_;
-  owned_ = std::move(other.owned_);
-  num_households_ = other.num_households_;
-  hours_ = other.hours_;
-  household_ids_ = other.household_ids_;
-  consumption_ = other.consumption_;
-  temperature_ = other.temperature_;
-  other.mapped_base_ = nullptr;
-  other.mapped_size_ = 0;
-  other.num_households_ = 0;
-  other.hours_ = 0;
-  other.household_ids_ = nullptr;
-  other.consumption_ = nullptr;
-  other.temperature_ = nullptr;
-  return *this;
-}
-
-void ColumnStore::Close() {
-  if (mapped_base_ != nullptr) {
-    ::munmap(mapped_base_, mapped_size_);
-    mapped_base_ = nullptr;
-    mapped_size_ = 0;
-  }
-  owned_.clear();
-  owned_.shrink_to_fit();
-  num_households_ = 0;
-  hours_ = 0;
-  household_ids_ = nullptr;
-  consumption_ = nullptr;
-  temperature_ = nullptr;
-}
-
-Status ColumnStore::WriteFile(const MeterDataset& dataset,
-                              const std::string& path) {
-  SM_RETURN_IF_ERROR(dataset.Validate());
-  FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-
-  auto write = [f](const void* data, size_t bytes) {
-    return std::fwrite(data, 1, bytes, f) == bytes;
-  };
-  bool ok = write(kMagic, sizeof(kMagic));
-  const uint64_t households = dataset.num_consumers();
-  const uint64_t hours = dataset.hours();
-  ok = ok && write(&households, sizeof(households));
-  ok = ok && write(&hours, sizeof(hours));
-  for (const ConsumerSeries& c : dataset.consumers()) {
-    ok = ok && write(&c.household_id, sizeof(c.household_id));
-  }
-  for (const ConsumerSeries& c : dataset.consumers()) {
-    ok = ok && write(c.consumption.data(),
-                     c.consumption.size() * sizeof(double));
-  }
-  ok = ok && write(dataset.temperature().data(),
-                   dataset.temperature().size() * sizeof(double));
-  if (std::fclose(f) != 0) ok = false;
-  if (!ok) {
-    std::remove(path.c_str());  // Never leave a truncated columnar file.
-    return Status::IOError("short write to " + path);
-  }
-  return Status::OK();
-}
-
-Status ColumnStore::PointIntoBuffer(const uint8_t* base, size_t size,
-                                    const std::string& origin) {
-  if (size < kHeaderBytes || std::memcmp(base, kMagic, sizeof(kMagic)) != 0) {
-    return Status::Corruption("bad columnar magic in " + origin);
-  }
-  uint64_t households = 0;
-  uint64_t hours = 0;
-  std::memcpy(&households, base + 8, sizeof(households));
-  std::memcpy(&hours, base + 16, sizeof(hours));
-  size_t expected = 0;
-  if (!CheckedFileBytes(households, hours, &expected) || size != expected) {
-    return Status::Corruption(StringPrintf(
-        "columnar file %s has %zu bytes, inconsistent with header shape "
-        "%llu x %llu",
-        origin.c_str(), size, static_cast<unsigned long long>(households),
-        static_cast<unsigned long long>(hours)));
-  }
-  num_households_ = households;
-  hours_ = hours;
-  const uint8_t* cursor = base + kHeaderBytes;
-  household_ids_ = reinterpret_cast<const int64_t*>(cursor);
-  cursor += households * sizeof(int64_t);
-  consumption_ = reinterpret_cast<const double*>(cursor);
-  cursor += households * hours * sizeof(double);
-  temperature_ = reinterpret_cast<const double*>(cursor);
-  return Status::OK();
-}
-
-Status ColumnStore::OpenMapped(const std::string& path) {
-  Close();
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return Status::IOError("cannot open " + path);
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return Status::IOError("cannot stat " + path);
-  }
-  const size_t size = static_cast<size_t>(st.st_size);
-  if (size < kHeaderBytes) {
-    ::close(fd);
-    return Status::Corruption(StringPrintf(
-        "columnar file %s has %zu bytes, smaller than the %zu-byte header",
-        path.c_str(), size, kHeaderBytes));
-  }
-  void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // The mapping keeps the file alive.
-  if (base == MAP_FAILED) {
-    return Status::IOError("mmap failed for " + path);
-  }
-  const Status st_parse =
-      PointIntoBuffer(static_cast<const uint8_t*>(base), size, path);
-  if (!st_parse.ok()) {
-    ::munmap(base, size);
-    return st_parse;
-  }
-  mapped_base_ = base;
-  mapped_size_ = size;
-  static obs::Counter* opens =
-      obs::MetricsRegistry::Global().GetCounter("columnstore.opens");
-  static obs::Counter* bytes_mapped =
-      obs::MetricsRegistry::Global().GetCounter("columnstore.bytes_mapped");
-  static obs::Counter* rows_mapped =
-      obs::MetricsRegistry::Global().GetCounter("columnstore.rows_mapped");
-  opens->Increment();
-  bytes_mapped->Add(static_cast<int64_t>(size));
-  rows_mapped->Add(static_cast<int64_t>(num_households_ * hours_));
-  return Status::OK();
-}
-
-Status ColumnStore::LoadFromDataset(const MeterDataset& dataset) {
-  Close();
-  SM_RETURN_IF_ERROR(dataset.Validate());
-  const size_t households = dataset.num_consumers();
-  const size_t hours = dataset.hours();
-  owned_.resize(FileBytes(households, hours));
-  uint8_t* cursor = owned_.data();
-  std::memcpy(cursor, kMagic, sizeof(kMagic));
-  const uint64_t h64 = households;
-  const uint64_t hr64 = hours;
-  std::memcpy(cursor + 8, &h64, sizeof(h64));
-  std::memcpy(cursor + 16, &hr64, sizeof(hr64));
-  cursor += kHeaderBytes;
-  for (const ConsumerSeries& c : dataset.consumers()) {
-    std::memcpy(cursor, &c.household_id, sizeof(c.household_id));
-    cursor += sizeof(c.household_id);
-  }
-  for (const ConsumerSeries& c : dataset.consumers()) {
-    std::memcpy(cursor, c.consumption.data(), hours * sizeof(double));
-    cursor += hours * sizeof(double);
-  }
-  std::memcpy(cursor, dataset.temperature().data(), hours * sizeof(double));
-  const Status pointed =
-      PointIntoBuffer(owned_.data(), owned_.size(), "<memory>");
-  if (!pointed.ok()) Close();  // Don't hold the buffer for a dead store.
-  return pointed;
-}
-
-// ---------------------------------------------------------------------------
-// SMCOLV2
-// ---------------------------------------------------------------------------
-
-namespace {
 
 void PutU64(uint8_t* dst, uint64_t v) { std::memcpy(dst, &v, sizeof(v)); }
 
@@ -889,19 +681,6 @@ Status CompressedColumnFile::DecodeConsumptionBlock(
   SM_RETURN_IF_ERROR(
       CheckBlock(consumption_blocks_[index], info.value_count, &bytes));
   return codec::DecodeDoubles(bytes, info.value_count, values);
-}
-
-Result<int> SniffColumnFileFormat(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  char magic[8] = {0};
-  const size_t got = std::fread(magic, 1, sizeof(magic), f);
-  std::fclose(f);
-  if (got == sizeof(magic)) {
-    if (std::memcmp(magic, kMagic, sizeof(kMagic)) == 0) return 1;
-    if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) return 2;
-  }
-  return Status::Corruption("unrecognized column file magic in " + path);
 }
 
 }  // namespace smartmeter::storage

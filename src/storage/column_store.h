@@ -14,100 +14,11 @@
 
 namespace smartmeter::storage {
 
-/// Main-memory column store modelled on "System C" (Section 5.1): time
-/// series live in contiguous per-household column segments inside a single
-/// binary file that is memory-mapped at load time, so "loading" is nearly
-/// free and scans are pointer arithmetic over doubles.
-///
-/// Binary layout (little-endian, 8-byte aligned):
-///   [0..8)    magic "SMCOLV1\0"
-///   [8..16)   uint64 num_households
-///   [16..24)  uint64 hours per household
-///   then      int64 household ids        (num_households entries)
-///   then      double consumption column  (num_households * hours, household-major)
-///   then      double temperature column  (hours entries)
-class ColumnStore {
- public:
-  ColumnStore() = default;
-  ~ColumnStore();
-
-  ColumnStore(const ColumnStore&) = delete;
-  ColumnStore& operator=(const ColumnStore&) = delete;
-  ColumnStore(ColumnStore&&) noexcept;
-  ColumnStore& operator=(ColumnStore&&) noexcept;
-
-  /// Serializes `dataset` into the binary columnar file at `path`.
-  static Status WriteFile(const MeterDataset& dataset,
-                          const std::string& path);
-
-  /// Memory-maps the file; data is accessed in place (zero copy). On any
-  /// failure (open, stat, short file, mmap, corrupt header) the store is
-  /// left closed with no fd or mapping leaked.
-  Status OpenMapped(const std::string& path);
-
-  /// Owned-memory fallback: materializes the same SMCOLV1 image into a
-  /// heap buffer instead of a file mapping. Used when there is no file to
-  /// map (warm in-process data, tests); every accessor behaves exactly as
-  /// in the mapped case. On failure the buffer is released.
-  Status LoadFromDataset(const MeterDataset& dataset);
-
-  /// Releases the mapping / owned memory.
-  void Close();
-
-  bool is_open() const { return num_households_ > 0 || hours_ > 0; }
-  bool is_mapped() const { return mapped_base_ != nullptr; }
-
-  size_t num_households() const { return num_households_; }
-  size_t hours() const { return hours_; }
-
-  int64_t household_id(size_t i) const { return household_ids_[i]; }
-  std::span<const int64_t> household_ids() const {
-    return {household_ids_, num_households_};
-  }
-
-  /// Consumption column segment of household i (hours() doubles).
-  std::span<const double> consumption(size_t i) const {
-    return {consumption_ + i * hours_, hours_};
-  }
-
-  /// The full consumption column, household-major.
-  std::span<const double> consumption_column() const {
-    return {consumption_, num_households_ * hours_};
-  }
-
-  std::span<const double> temperature() const {
-    return {temperature_, hours_};
-  }
-
- private:
-  Status PointIntoBuffer(const uint8_t* base, size_t size,
-                         const std::string& origin);
-
-  // At most one backing store is active:
-  //  * mapped_base_/mapped_size_ — a read-only MAP_PRIVATE mapping owned
-  //    by this object. Close() munmaps it, and every OpenMapped() error
-  //    path unmaps/closes before returning.
-  //  * owned_ — the owned-memory fallback (LoadFromDataset): the SMCOLV1
-  //    image lives in this heap buffer. operator new's max_align_t
-  //    guarantee plus the 8-byte-multiple section offsets keep the
-  //    int64/double columns naturally aligned.
-  // The column pointers below point into whichever one is live.
-  void* mapped_base_ = nullptr;
-  size_t mapped_size_ = 0;
-  std::vector<uint8_t> owned_;
-
-  size_t num_households_ = 0;
-  size_t hours_ = 0;
-  const int64_t* household_ids_ = nullptr;
-  const double* consumption_ = nullptr;
-  const double* temperature_ = nullptr;
-};
-
 // ---------------------------------------------------------------------------
-// SMCOLV2: the compressed generation of the column file. Same logical
-// content as SMCOLV1 (ids + household-major consumption + shared
-// temperature), but every column is cut into fixed-size value blocks
-// encoded with the block codec (delta + frame-of-reference +
+// SMCOLV2, the column file of System C's store (Section 5.1) and of the
+// columnar cache: household ids, household-major consumption and the
+// shared temperature column. Every column is cut into fixed-size value
+// blocks encoded with the block codec (delta + frame-of-reference +
 // bit-packing, verified decimal fixed-point for doubles), and a footer
 // carries a per-block (household range × hour range × min/max) index so
 // scoped scans decode only the blocks a query touches. Exact byte
@@ -264,10 +175,6 @@ class CompressedColumnFile {
   std::vector<BlockEntry> temperature_blocks_;
   std::vector<BlockEntry> id_blocks_;
 };
-
-/// Column-file format sniffing: 1 for SMCOLV1, 2 for SMCOLV2,
-/// Corruption for anything else.
-Result<int> SniffColumnFileFormat(const std::string& path);
 
 }  // namespace smartmeter::storage
 

@@ -642,17 +642,23 @@ Result<MeterDataset> ReadPartitionedCsv(const std::string& dir) {
 Result<MeterDataset> ReadHouseholdLinesCsv(const std::string& path) {
   LineReader lines(path);
   SM_RETURN_IF_ERROR(lines.Open());
+  SM_ASSIGN_OR_RETURN(std::vector<double> temperature,
+                      ReadTemperatureSidecar(path + ".temperature"));
   MeterDataset dataset;
+  dataset.SetTemperature(std::move(temperature));
   std::string_view line;
   while (lines.Next(&line)) {
     Result<ConsumerSeries> series = ParseHouseholdLine(line);
     if (!series.ok()) return lines.Annotate(series.status());
+    if (series->consumption.size() != dataset.hours()) {
+      return lines.Annotate(Status::Corruption(StringPrintf(
+          "household %lld has %zu readings, the temperature sidecar has %zu",
+          static_cast<long long>(series->household_id),
+          series->consumption.size(), dataset.hours())));
+    }
     dataset.AddConsumer(std::move(*series));
   }
   SM_RETURN_IF_ERROR(lines.status());
-  SM_ASSIGN_OR_RETURN(std::vector<double> temperature,
-                      ReadTemperatureSidecar(path + ".temperature"));
-  dataset.SetTemperature(std::move(temperature));
   SM_RETURN_IF_ERROR(dataset.Validate());
   return dataset;
 }

@@ -181,6 +181,12 @@ Result<MeterDataset> RowStore::ScanAll() const {
       }
       series.consumption.push_back(value);
     }
+    if (series.consumption.size() != dataset.hours()) {
+      return Status::Corruption(StringPrintf(
+          "household %lld has %zu hours, expected %zu",
+          static_cast<long long>(id), series.consumption.size(),
+          dataset.hours()));
+    }
     dataset.AddConsumer(std::move(series));
   }
   SM_RETURN_IF_ERROR(dataset.Validate());

@@ -19,15 +19,15 @@ using SeriesSlice = std::span<const double>;
 
 /// Zero-copy columnar view over n household series plus the shared
 /// temperature column: the one shape every storage backend (CSV parse,
-/// row store, mmap'd column file, simulated HDFS blocks) is adapted to
+/// row store, decoded column file, simulated HDFS blocks) is adapted to
 /// before the kernels run.
 ///
 /// A batch BORROWS all its memory. The producer — a TableReader, a
-/// ColumnStore mapping, a MeterDataset — must outlive it. Two physical
-/// layouts are supported behind the same accessors:
+/// MeterDataset — must outlive it. Two physical layouts are supported
+/// behind the same accessors:
 ///
 ///  * contiguous: one household-major `count*hours` consumption column
-///    (the mmap'd columnar file / cache path). `consumption(i)` is pure
+///    (the decoded column file / cache path). `consumption(i)` is pure
 ///    pointer arithmetic and `consumption_column()` exposes the whole
 ///    column for full-scan loops.
 ///  * sliced: one span per household pointing at scattered vectors (the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string_view>
 #include <utility>
@@ -66,12 +65,6 @@ uint64_t FnvMixFileSample(uint64_t hash, const std::string& path) {
 
 }  // namespace
 
-ColumnarCache::Format ColumnarCache::Options::DefaultFormat() {
-  const char* env = std::getenv("SM_COLUMN_FORMAT");
-  if (env != nullptr && std::string_view(env) == "v1") return Format::kV1;
-  return Format::kV2;
-}
-
 ColumnarCache::ColumnarCache(std::string cache_dir)
     : cache_dir_(std::move(cache_dir)) {}
 
@@ -80,10 +73,6 @@ ColumnarCache::ColumnarCache(std::string cache_dir, Options options)
 
 uint64_t ColumnarCache::KeyFor(const DataSource& source, uint64_t seed) const {
   uint64_t hash = seed == 0 ? kFnvOffsetBasis : seed;
-  // The spool format is part of the identity: a v1 and a v2 build of the
-  // same source must land in different entries, or a format switch would
-  // serve stale bytes of the other generation.
-  hash = FnvMix(hash, options_.format == Format::kV1 ? "smcolv1" : "smcolv2");
   hash = FnvMix(hash, DataSourceLayoutName(source.layout));
   for (const std::string& file : source.files) {
     hash = FnvMix(hash, file);
@@ -132,9 +121,7 @@ Result<std::unique_ptr<TableReader>> ColumnarCache::OpenOrBuild(
     SM_ASSIGN_OR_RETURN(MeterDataset dataset, ReadDatasetFromSource(source));
     const std::string tmp_path = cache_path + ".tmp";
     const Status written =
-        options_.format == Format::kV1
-            ? storage::ColumnStore::WriteFile(dataset, tmp_path)
-            : storage::ColumnFileWriter::WriteFile(dataset, tmp_path);
+        storage::ColumnFileWriter::WriteFile(dataset, tmp_path);
     if (!written.ok()) {
       fs::remove(tmp_path, ec);
       return written;
@@ -163,10 +150,7 @@ Result<std::unique_ptr<TableReader>> ColumnarCache::OpenOrBuild(
   const uint64_t file_bytes = static_cast<uint64_t>(fs::file_size(
       cache_path, ec));
   bytes_on_disk->Add(ec ? 0 : static_cast<int64_t>(file_bytes));
-  bytes_decoded->Add(reader->format_version() == 2
-                         ? static_cast<int64_t>(
-                               reader->open_stats().bytes_decoded)
-                         : (ec ? 0 : static_cast<int64_t>(file_bytes)));
+  bytes_decoded->Add(static_cast<int64_t>(reader->open_stats().bytes_decoded));
   return std::unique_ptr<TableReader>(std::move(reader));
 }
 

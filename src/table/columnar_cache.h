@@ -13,16 +13,16 @@
 namespace smartmeter::table {
 
 /// Binary columnar cache: parse any text DataSource once, persist the
-/// result as an mmap-able SMCOLV1 column file (the same format System
-/// C's native store uses), and serve every later scan zero-copy from the
-/// mapping. This gives all five engines one shared cold→warm story — the
-/// Figure 6 distinction — instead of five private re-parsers.
+/// result as an SMCOLV2 column file (the same format System C's native
+/// store uses), and serve every later scan from the reader that maps it
+/// and decodes it once. This gives all five engines one shared cold→warm
+/// story — the Figure 6 distinction — instead of five private re-parsers.
 ///
 /// Cache files live under `cache_dir` as "<key>.smcol" where the key is
-/// an FNV-1a hash over the spool format, the source's layout, and every
-/// file's path, byte size, and mtime. Touching or rewriting any input
-/// file changes the key, so a stale entry is simply never looked up
-/// again; dead entries are reclaimed by the byte-budget sweep below.
+/// an FNV-1a hash over the source's layout and every file's path, byte
+/// size, and mtime. Touching or rewriting any input file changes the
+/// key, so a stale entry is simply never looked up again; dead entries
+/// are reclaimed by the byte-budget sweep below.
 ///
 /// When `options.byte_budget` is positive the directory is bounded:
 /// after each miss installs a new entry, least-recently-used cache files
@@ -34,25 +34,10 @@ namespace smartmeter::table {
 /// "table.cache.misses"; each evicted file bumps "table.cache.evictions".
 class ColumnarCache {
  public:
-  /// Which column-file generation a miss spools.
-  enum class Format {
-    kV1,  // SMCOLV1: raw mmap-able columns.
-    kV2,  // SMCOLV2: compressed blocks + household x hour index.
-  };
-
   struct Options {
-    /// Spool format for cache misses. Defaults to the environment
-    /// override (SM_COLUMN_FORMAT=v1|v2) or SMCOLV2. Hits of either
-    /// format are readable regardless — ColumnFileReader sniffs the
-    /// magic — but the format is mixed into the cache key so the two
-    /// generations never alias one entry.
-    Format format = DefaultFormat();
     /// Maximum total bytes of cache files kept in `cache_dir`;
     /// 0 = unbounded.
     int64_t byte_budget = 0;
-
-    /// Reads SM_COLUMN_FORMAT ("v1" or "v2"); anything else → kV2.
-    static Format DefaultFormat();
   };
 
   explicit ColumnarCache(std::string cache_dir);
@@ -61,14 +46,13 @@ class ColumnarCache {
   /// The cache file a source maps to (stats every input file).
   Result<std::string> CacheFilePath(const DataSource& source) const;
 
-  /// Hit: mmap the existing cache file — no parsing. Miss: parse the
+  /// Hit: open the existing cache file — no parsing. Miss: parse the
   /// source through the text reader, write the column file (atomically,
-  /// via a temp file + rename), then mmap it. Either way the returned
+  /// via a temp file + rename), then open it. Either way the returned
   /// reader is already open and serves contiguous zero-copy batches.
   Result<std::unique_ptr<TableReader>> OpenOrBuild(const DataSource& source);
 
-  /// Key hash, exposed for tests: FNV-1a over format + layout + file
-  /// identities.
+  /// Key hash, exposed for tests: FNV-1a over layout + file identities.
   uint64_t KeyFor(const DataSource& source, uint64_t seed) const;
 
   const std::string& cache_dir() const { return cache_dir_; }

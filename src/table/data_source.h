@@ -22,7 +22,7 @@ struct DataSource {
     kPartitionedDir,   // One CSV file per household (single-server "part.").
     kHouseholdLines,   // One household per line + temperature sidecar.
     kWholeFileDir,     // Many reading-per-line files, households not split.
-    kColumnFile,       // One binary SMCOLV1/SMCOLV2 column file.
+    kColumnFile,       // One binary SMCOLV2 column file.
   };
   Layout layout = Layout::kSingleCsv;
   /// The file (kSingleCsv / kHouseholdLines) or every file of the
@@ -48,8 +48,8 @@ struct DataSource {
   /// Many reading-per-line files, households not aligned to files.
   static Result<DataSource> WholeFileDir(std::vector<std::string> files);
 
-  /// One binary column file, SMCOLV1 or SMCOLV2 (readers sniff the
-  /// magic). Fails unless `path` is a regular file.
+  /// One binary SMCOLV2 column file. Fails unless `path` is a regular
+  /// file; readers refuse any other format with Corruption.
   static Result<DataSource> ColumnFile(std::string path);
 
   /// Re-checks this source's invariants; the named constructors call it,

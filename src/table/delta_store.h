@@ -92,7 +92,7 @@ class DeltaStore {
   /// Copies the immutable base table into the mutable layer (one-time
   /// cost, same order as a columnar decode-all). Must precede every
   /// Append; the batch's memory is not retained. Pass a batch from any
-  /// TableReader — SMCOLV1/V2, CSV, or an in-memory dataset.
+  /// TableReader — SMCOLV2, CSV, or an in-memory dataset.
   Status AttachBase(const ColumnarBatch& base);
 
   /// Lands one live reading. The first writer of an hour also fixes the
@@ -178,7 +178,7 @@ class DeltaTableReader : public TableReader {
 
 /// Materializes a snapshot into an owning dataset — the "rebuild the
 /// monolithic file" half of the lambda merge, used to pin batch-layer
-/// parity and to reseal deltas into SMCOLV1/V2 files.
+/// parity and to reseal deltas into SMCOLV2 files.
 Result<MeterDataset> SnapshotToDataset(const DeltaSnapshot& snapshot);
 
 }  // namespace smartmeter::table

@@ -100,46 +100,30 @@ ColumnFileReader::ColumnFileReader(std::string path)
     : path_(std::move(path)) {}
 
 Status ColumnFileReader::Open() {
-  format_version_ = 0;
+  open_ = false;
   open_stats_ = {};
   decoded_ids_.clear();
   decoded_consumption_.clear();
   decoded_temperature_.clear();
-  SM_ASSIGN_OR_RETURN(const int version,
-                      storage::SniffColumnFileFormat(path_));
-  if (version == 1) {
-    SM_RETURN_IF_ERROR(store_.OpenMapped(path_));
-  } else {
-    SM_RETURN_IF_ERROR(compressed_.Open(path_));
-    SM_RETURN_IF_ERROR(compressed_.DecodeAll(&decoded_ids_,
-                                             &decoded_consumption_,
-                                             &decoded_temperature_,
-                                             &open_stats_));
-  }
-  format_version_ = version;
+  SM_RETURN_IF_ERROR(compressed_.Open(path_));
+  SM_RETURN_IF_ERROR(compressed_.DecodeAll(&decoded_ids_,
+                                           &decoded_consumption_,
+                                           &decoded_temperature_,
+                                           &open_stats_));
+  open_ = true;
   return Status::OK();
 }
 
 Result<ColumnarBatch> ColumnFileReader::NewBatch() const {
-  if (format_version_ == 1) {
-    return ColumnarBatch::FromContiguous(store_.household_ids(),
-                                         store_.consumption_column(),
-                                         store_.temperature(), store_.hours());
-  }
-  if (format_version_ == 2) {
-    return ColumnarBatch::FromContiguous(
-        decoded_ids_, decoded_consumption_, decoded_temperature_,
-        compressed_.hours());
-  }
-  return Status::Internal("column file not open");
+  if (!open_) return Status::Internal("column file not open");
+  return ColumnarBatch::FromContiguous(decoded_ids_, decoded_consumption_,
+                                       decoded_temperature_,
+                                       compressed_.hours());
 }
 
 Result<ScopedBatch> ColumnFileReader::NewScopedBatch(
     const storage::ScanScope& scope) const {
-  if (format_version_ != 2) {
-    // SMCOLV1 has no block index; slice the mapped column by rows.
-    return TableReader::NewScopedBatch(scope);
-  }
+  if (!open_) return Status::Internal("column file not open");
   if (scope.whole()) {
     // The whole-file decode already happened at Open(); report its cost
     // (every block decoded, nothing pruned) without decoding again.

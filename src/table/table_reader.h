@@ -22,7 +22,7 @@ namespace smartmeter::table {
 /// alive and what the restriction cost. `owner` is null when the batch
 /// borrows the reader's own storage (the common slice-of-resident case)
 /// and holds freshly decoded buffers when the reader pruned blocks into
-/// a private decode (the SMCOLV2 path).
+/// a private decode (the column-file path).
 struct ScopedBatch {
   ColumnarBatch batch;
   std::shared_ptr<const void> owner;
@@ -31,7 +31,7 @@ struct ScopedBatch {
 
 /// One interface every storage backend implements so the engines and the
 /// kernels see a single shape of data: Open() does the format-specific
-/// work (parse, scan, or mmap) once, then NewBatch() hands out zero-copy
+/// work (parse, scan, or decode) once, then NewBatch() hands out zero-copy
 /// ColumnarBatch views into the reader's storage for as long as the
 /// reader lives.
 ///
@@ -85,12 +85,11 @@ class CsvTableReader : public TableReader {
 };
 
 /// Binary column-file path (System C's native store and the columnar
-/// cache's file format). Open() sniffs the generation: SMCOLV1 is pure
-/// mmap + pointer arithmetic; SMCOLV2 mmaps the compressed file and
-/// decodes its blocks into resident buffers once, after which batches
-/// are the same zero-copy spans. Scoped batches over SMCOLV2 decode only
-/// the blocks the scope touches (block-index pruning) and surface the
-/// prune counts through `table.scan.blocks_{pruned,decoded}`.
+/// cache's file format). Open() mmaps the SMCOLV2 file and decodes its
+/// blocks into resident buffers once, after which batches are zero-copy
+/// spans over those buffers. Scoped batches decode only the blocks the
+/// scope touches (block-index pruning) and surface the prune counts
+/// through `table.scan.blocks_{pruned,decoded}`.
 class ColumnFileReader : public TableReader {
  public:
   explicit ColumnFileReader(std::string path);
@@ -101,27 +100,20 @@ class ColumnFileReader : public TableReader {
       const storage::ScanScope& scope) const override;
   std::string_view format_name() const override { return "column-file"; }
 
-  /// 1 (SMCOLV1) or 2 (SMCOLV2) once open.
-  int format_version() const { return format_version_; }
-  /// What Open() decoded: zero for SMCOLV1 (nothing to decode), the
-  /// whole-file block/byte counts for SMCOLV2.
+  /// What Open() decoded: the whole-file block and byte counts.
   const storage::ScanStats& open_stats() const { return open_stats_; }
 
-  const storage::ColumnStore& store() const { return store_; }
-  /// The compressed SMCOLV2 mapping, or null when the open file is
-  /// SMCOLV1 (whose reads go through store()).
-  const storage::CompressedColumnFile* compressed() const {
-    return format_version_ == 2 ? &compressed_ : nullptr;
+  /// The compressed mapping behind the resident buffers.
+  const storage::CompressedColumnFile& compressed() const {
+    return compressed_;
   }
 
  private:
   std::string path_;
-  int format_version_ = 0;
-  storage::ColumnStore store_;
+  bool open_ = false;
   storage::CompressedColumnFile compressed_;
   storage::ScanStats open_stats_;
-  // Resident decode of an SMCOLV2 file (owned by the reader; batches
-  // borrow it just like the SMCOLV1 mapping).
+  // Resident decode of the file, owned by the reader; batches borrow it.
   std::vector<int64_t> decoded_ids_;
   std::vector<double> decoded_consumption_;
   std::vector<double> decoded_temperature_;

@@ -1,4 +1,4 @@
-// Corruption-robustness fuzz for the column-file readers: every byte of
+// Corruption-robustness fuzz for the column-file reader: every byte of
 // a valid SMCOLV2 file is bit-flipped, the file is truncated at every
 // length, and a hostile hand-written corpus (tests/column_corpus/) is
 // replayed. The invariant under test is that Open/DecodeAll/DecodeScoped
@@ -85,22 +85,6 @@ void ResealChecksums(std::vector<uint8_t>* bytes) {
 /// ASan is the failure mode being hunted. Returns true when the whole
 /// pipeline succeeded (file behaved as valid).
 bool ExerciseFile(const std::string& path) {
-  const Result<int> format = SniffColumnFileFormat(path);
-  if (!format.ok()) return false;
-
-  if (*format == 1) {
-    ColumnStore store;
-    if (!store.OpenMapped(path).ok()) return false;
-    // Touch the mapped columns the way a scan would; the volatile sink
-    // keeps the reads (the potential overread) from being optimized out.
-    double sum = 0.0;
-    for (double v : store.consumption_column()) sum += v;
-    for (double v : store.temperature()) sum += v;
-    volatile double sink = sum;
-    (void)sink;
-    return true;
-  }
-
   CompressedColumnFile file;
   if (!file.Open(path).ok()) return false;
   std::vector<int64_t> ids;

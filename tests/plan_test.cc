@@ -210,17 +210,20 @@ TEST_F(PlanTest, FiveEnginesAgreeOnTheSameBytes) {
   const MeterDataset dataset = *datagen::GenerateSeedDataset(options);
   const std::string lf_path = (*dir_ / "agree_lf.csv").string();
   ASSERT_TRUE(storage::WriteReadingsCsv(dataset, lf_path).ok());
-  std::string lf;
-  {
-    FILE* f = std::fopen(lf_path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
+  const auto read = [](const std::string& path) {
+    std::string text;
+    FILE* f = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(f, nullptr) << path;
+    if (f == nullptr) return text;
     char chunk[4096];
     size_t got;
     while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-      lf.append(chunk, got);
+      text.append(chunk, got);
     }
     std::fclose(f);
-  }
+    return text;
+  };
+  const std::string lf = read(lf_path);
   const auto write = [](const std::string& path, const std::string& text) {
     FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -319,22 +322,66 @@ TEST_F(PlanTest, FiveEnginesAgreeOnTheSameBytes) {
     EXPECT_EQ(hour_statuses[e].code(), StatusCode::kCorruption)
         << "engine " << e << ": " << hour_statuses[e].ToString();
   }
+
+  // A ragged table: the rows are hour-major, so dropping the last row
+  // leaves the last household one hour short. The loaders, Matlab's
+  // extraction, MADLib's row scan and the Spark and Hive shuffles all
+  // report Corruption.
+  const std::string ragged_path = (*dir_ / "agree_ragged.csv").string();
+  write(ragged_path, lf.substr(0, lf.rfind('\n', lf.size() - 2) + 1));
+  const std::vector<Status> ragged_statuses =
+      run("agree_ragged", ragged_path, nullptr);
+  for (size_t e = 0; e < ragged_statuses.size(); ++e) {
+    EXPECT_EQ(ragged_statuses[e].code(), StatusCode::kCorruption)
+        << "engine " << e << ": " << ragged_statuses[e].ToString();
+  }
+
+  // The household-per-line layout, which Spark and Hive read: a line one
+  // value short of the temperature sidecar is Corruption for every task,
+  // and the split scan names the file. Ten days, so that every task is
+  // valid on the households that are whole and Corruption is the only
+  // status any partition can report.
+  options.hours = 240;
+  const MeterDataset ten_days = *datagen::GenerateSeedDataset(options);
+  const std::string lines_path = (*dir_ / "agree_short_line.csv").string();
+  ASSERT_TRUE(storage::WriteHouseholdLinesCsv(ten_days, lines_path).ok());
+  std::string lines = read(lines_path);
+  const size_t second_end = lines.find('\n', lines.find('\n') + 1);
+  const size_t last_comma = lines.rfind(',', second_end);
+  lines.erase(last_comma, second_end - last_comma);
+  write(lines_path, lines);
+  const DataSource lines_source = *DataSource::HouseholdLines(lines_path);
+  SparkEngine spark(SparkOptions(512));
+  HiveEngine hive(HiveOptions(512));
+  const std::vector<AnalyticsEngine*> line_engines = {&spark, &hive};
+  for (AnalyticsEngine* engine : line_engines) {
+    ASSERT_TRUE(engine->Attach(lines_source).ok()) << engine->name();
+    for (core::TaskType task : core::kAllTasks) {
+      TaskResultSet out;
+      const Status status =
+          engine->RunTask(TaskOptions::Default(task), &out).status();
+      EXPECT_EQ(status.code(), StatusCode::kCorruption)
+          << engine->name() << "/" << core::TaskName(task) << ": "
+          << status.ToString();
+      if (task == core::TaskType::kHistogram) {
+        EXPECT_NE(status.message().find(lines_path), std::string::npos)
+            << status.ToString();
+      }
+    }
+  }
 }
 
-TEST_F(PlanTest, FiveEnginesBitIdenticalAcrossColumnFormats) {
-  // The SMCOLV1 -> SMCOLV2 migration is a pure storage change: every
-  // engine fed the compressed file must produce the same bits as when
-  // fed the raw mmap file, across all four tasks. This is the
-  // non-negotiable parity pin for the compressed format.
-  datagen::SeedGeneratorOptions options;
-  options.num_households = kHouseholds;
-  options.hours = kHoursPerYear;
-  options.seed = 411;
-  MeterDataset dataset = *datagen::GenerateSeedDataset(options);
-  const std::string v1_path = (*dir_ / "cols.v1.smcol").string();
-  const std::string v2_path = (*dir_ / "cols.v2.smcol").string();
-  ASSERT_TRUE(storage::ColumnStore::WriteFile(dataset, v1_path).ok());
-  ASSERT_TRUE(storage::ColumnFileWriter::WriteFile(dataset, v2_path).ok());
+TEST_F(PlanTest, FiveEnginesBitIdenticalOverColumnFileAndCsv) {
+  // Reading the SMCOLV2 column file instead of the CSV is a pure storage
+  // change: every engine fed the compressed file must produce the same
+  // bits as when fed the CSV it was written from, across all four tasks.
+  // This is the non-negotiable parity pin for the compressed format. The
+  // file is written from the CSV parse, so both inputs hold identical
+  // values.
+  auto parsed = storage::ReadReadingsCsv(single_csv_);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::string column_path = (*dir_ / "cols.smcol").string();
+  ASSERT_TRUE(storage::ColumnFileWriter::WriteFile(*parsed, column_path).ok());
 
   const auto make_engines = [this](const char* spool) {
     std::vector<std::unique_ptr<AnalyticsEngine>> engines;
@@ -345,17 +392,17 @@ TEST_F(PlanTest, FiveEnginesBitIdenticalAcrossColumnFormats) {
     engines.push_back(std::make_unique<HiveEngine>(HiveOptions(64 << 10)));
     return engines;
   };
-  auto v1_engines = make_engines("spool_fmt_v1");
-  auto v2_engines = make_engines("spool_fmt_v2");
-  const DataSource v1_source = *DataSource::ColumnFile(v1_path);
-  const DataSource v2_source = *DataSource::ColumnFile(v2_path);
-  for (auto& engine : v1_engines) {
-    auto attach = engine->Attach(v1_source);
+  auto csv_engines = make_engines("spool_fmt_csv");
+  auto column_engines = make_engines("spool_fmt_column");
+  const DataSource csv_source = *DataSource::SingleCsv(single_csv_);
+  const DataSource column_source = *DataSource::ColumnFile(column_path);
+  for (auto& engine : csv_engines) {
+    auto attach = engine->Attach(csv_source);
     ASSERT_TRUE(attach.ok())
         << engine->name() << ": " << attach.status().ToString();
   }
-  for (auto& engine : v2_engines) {
-    auto attach = engine->Attach(v2_source);
+  for (auto& engine : column_engines) {
+    auto attach = engine->Attach(column_source);
     ASSERT_TRUE(attach.ok())
         << engine->name() << ": " << attach.status().ToString();
   }
@@ -363,24 +410,25 @@ TEST_F(PlanTest, FiveEnginesBitIdenticalAcrossColumnFormats) {
   for (core::TaskType task : core::kAllTasks) {
     const TaskOptions task_options = TaskOptions::Default(task);
     TaskResultSet baseline;
-    ASSERT_TRUE(v1_engines[0]->RunTask(task_options, &baseline).ok());
-    for (size_t e = 0; e < v1_engines.size(); ++e) {
-      TaskResultSet over_v1;
-      TaskResultSet over_v2;
-      auto v1_metrics = v1_engines[e]->RunTask(task_options, &over_v1);
-      auto v2_metrics = v2_engines[e]->RunTask(task_options, &over_v2);
-      ASSERT_TRUE(v1_metrics.ok())
-          << v1_engines[e]->name() << "/" << core::TaskName(task) << ": "
-          << v1_metrics.status().ToString();
-      ASSERT_TRUE(v2_metrics.ok())
-          << v2_engines[e]->name() << "/" << core::TaskName(task) << ": "
-          << v2_metrics.status().ToString();
-      SCOPED_TRACE(std::string(v1_engines[e]->name()) + "/" +
+    ASSERT_TRUE(csv_engines[0]->RunTask(task_options, &baseline).ok());
+    for (size_t e = 0; e < csv_engines.size(); ++e) {
+      TaskResultSet over_csv;
+      TaskResultSet over_column;
+      auto csv_metrics = csv_engines[e]->RunTask(task_options, &over_csv);
+      auto column_metrics =
+          column_engines[e]->RunTask(task_options, &over_column);
+      ASSERT_TRUE(csv_metrics.ok())
+          << csv_engines[e]->name() << "/" << core::TaskName(task) << ": "
+          << csv_metrics.status().ToString();
+      ASSERT_TRUE(column_metrics.ok())
+          << column_engines[e]->name() << "/" << core::TaskName(task)
+          << ": " << column_metrics.status().ToString();
+      SCOPED_TRACE(std::string(csv_engines[e]->name()) + "/" +
                    std::string(core::TaskName(task)));
-      // Same engine across formats, and every engine against the
+      // Same engine across the two inputs, and every engine against the
       // five-way baseline: one storage change, zero result drift.
-      ExpectBitIdentical(over_v2, over_v1, task);
-      ExpectBitIdentical(over_v1, baseline, task);
+      ExpectBitIdentical(over_column, over_csv, task);
+      ExpectBitIdentical(over_csv, baseline, task);
     }
   }
 }

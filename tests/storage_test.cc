@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "storage/column_store.h"
 #include "storage/csv.h"
 #include "storage/row_store.h"
 #include "timeseries/dataset.h"
@@ -433,80 +432,6 @@ TEST_F(StorageTest, ArrayStoreReadRowOutOfRange) {
   ArrayStore store;
   ASSERT_TRUE(store.LoadFromDataset(ds).ok());
   EXPECT_EQ(store.ReadRow(5).status().code(), StatusCode::kOutOfRange);
-}
-
-// ---------------------------------------------------------------------------
-// ColumnStore
-// ---------------------------------------------------------------------------
-
-TEST_F(StorageTest, ColumnStoreMappedRoundTrip) {
-  const MeterDataset ds = MakeDataset(5, 36);
-  const std::string path = Path("table.smcol");
-  ASSERT_TRUE(ColumnStore::WriteFile(ds, path).ok());
-  ColumnStore store;
-  ASSERT_TRUE(store.OpenMapped(path).ok());
-  EXPECT_TRUE(store.is_mapped());
-  ASSERT_EQ(store.num_households(), 5u);
-  ASSERT_EQ(store.hours(), 36u);
-  for (size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(store.household_id(i), ds.consumer(i).household_id);
-    const auto seg = store.consumption(i);
-    for (size_t h = 0; h < 36; ++h) {
-      EXPECT_DOUBLE_EQ(seg[h], ds.consumer(i).consumption[h]);
-    }
-  }
-  for (size_t h = 0; h < 36; ++h) {
-    EXPECT_DOUBLE_EQ(store.temperature()[h], ds.temperature()[h]);
-  }
-}
-
-TEST_F(StorageTest, ColumnStoreInMemoryMatchesMapped) {
-  const MeterDataset ds = MakeDataset(3, 24);
-  const std::string path = Path("table2.smcol");
-  ASSERT_TRUE(ColumnStore::WriteFile(ds, path).ok());
-  ColumnStore mapped, owned;
-  ASSERT_TRUE(mapped.OpenMapped(path).ok());
-  ASSERT_TRUE(owned.LoadFromDataset(ds).ok());
-  EXPECT_FALSE(owned.is_mapped());
-  ASSERT_EQ(mapped.num_households(), owned.num_households());
-  for (size_t i = 0; i < mapped.num_households(); ++i) {
-    const auto a = mapped.consumption(i);
-    const auto b = owned.consumption(i);
-    for (size_t h = 0; h < mapped.hours(); ++h) {
-      EXPECT_DOUBLE_EQ(a[h], b[h]);
-    }
-  }
-}
-
-TEST_F(StorageTest, ColumnStoreRejectsCorruptFile) {
-  {
-    FILE* f = fopen(Path("junk.smcol").c_str(), "w");
-    fputs("this is not a column store", f);
-    fclose(f);
-  }
-  ColumnStore store;
-  EXPECT_EQ(store.OpenMapped(Path("junk.smcol")).code(),
-            StatusCode::kCorruption);
-}
-
-TEST_F(StorageTest, ColumnStoreRejectsTruncatedFile) {
-  const MeterDataset ds = MakeDataset(2, 24);
-  const std::string path = Path("trunc.smcol");
-  ASSERT_TRUE(ColumnStore::WriteFile(ds, path).ok());
-  fs::resize_file(path, fs::file_size(path) - 16);
-  ColumnStore store;
-  EXPECT_EQ(store.OpenMapped(path).code(), StatusCode::kCorruption);
-}
-
-TEST_F(StorageTest, ColumnStoreMoveKeepsMapping) {
-  const MeterDataset ds = MakeDataset(2, 24);
-  const std::string path = Path("move.smcol");
-  ASSERT_TRUE(ColumnStore::WriteFile(ds, path).ok());
-  ColumnStore a;
-  ASSERT_TRUE(a.OpenMapped(path).ok());
-  ColumnStore b = std::move(a);
-  EXPECT_EQ(b.num_households(), 2u);
-  EXPECT_DOUBLE_EQ(b.consumption(0)[0], ds.consumer(0).consumption[0]);
 }
 
 }  // namespace

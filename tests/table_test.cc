@@ -245,6 +245,44 @@ TEST_F(TableTest, ColumnFileReaderRejectsCorruptFile) {
   EXPECT_EQ(reader.Open().code(), StatusCode::kCorruption);
 }
 
+TEST_F(TableTest, SystemCRefusesFirstGenerationColumnFile) {
+  // A whole file in the retired first-generation column layout: its V1
+  // magic, the household and hour counts, then ids, household-major
+  // consumption and temperature as raw 8-byte values. Attaching it as a
+  // column file must fail at the SMCOLV2 magic check, and the status
+  // must name the file.
+  const MeterDataset dataset = SmallDataset(2, 24, 5);
+  const std::string path = (dir_ / "first_generation.smcol").string();
+  FILE* f = fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const char magic[8] = {'S', 'M', 'C', 'O', 'L', 'V', '1', '\0'};
+  const uint64_t shape[2] = {dataset.num_consumers(), dataset.hours()};
+  ASSERT_EQ(fwrite(magic, 1, sizeof(magic), f), sizeof(magic));
+  ASSERT_EQ(fwrite(shape, sizeof(uint64_t), 2, f), 2u);
+  for (const ConsumerSeries& c : dataset.consumers()) {
+    ASSERT_EQ(fwrite(&c.household_id, sizeof(int64_t), 1, f), 1u);
+  }
+  for (const ConsumerSeries& c : dataset.consumers()) {
+    ASSERT_EQ(fwrite(c.consumption.data(), sizeof(double),
+                     c.consumption.size(), f),
+              c.consumption.size());
+  }
+  ASSERT_EQ(fwrite(dataset.temperature().data(), sizeof(double),
+                   dataset.hours(), f),
+            dataset.hours());
+  fclose(f);
+
+  auto source = table::DataSource::ColumnFile(path);
+  ASSERT_TRUE(source.ok());
+  engines::SystemCEngine engine((dir_ / "spool").string());
+  auto attach = engine.Attach(*source);
+  ASSERT_FALSE(attach.ok());
+  EXPECT_EQ(attach.status().code(), StatusCode::kCorruption)
+      << attach.status().ToString();
+  EXPECT_NE(attach.status().message().find(path), std::string::npos)
+      << attach.status().ToString();
+}
+
 // ---------------------------------------------------------------------------
 // Batch shape checks
 // ---------------------------------------------------------------------------
@@ -270,34 +308,25 @@ TEST_F(TableTest, FromContiguousRejectsShapeMismatch) {
 // SMCOLV2 round-trips, scoped decode, and cache bounding
 // ---------------------------------------------------------------------------
 
-TEST_F(TableTest, V1AndV2ColumnFilesDecodeBitExact) {
+TEST_F(TableTest, ColumnFileDecodesBitExact) {
   const MeterDataset dataset = SmallDataset(6, 7 * 24, 91);
-  const std::string v1_path = (dir_ / "data.v1.smcol").string();
-  const std::string v2_path = (dir_ / "data.v2.smcol").string();
-  ASSERT_TRUE(storage::ColumnStore::WriteFile(dataset, v1_path).ok());
-  ASSERT_TRUE(storage::ColumnFileWriter::WriteFile(dataset, v2_path).ok());
-  ASSERT_EQ(*storage::SniffColumnFileFormat(v1_path), 1);
-  ASSERT_EQ(*storage::SniffColumnFileFormat(v2_path), 2);
+  const std::string path = (dir_ / "data.smcol").string();
+  ASSERT_TRUE(storage::ColumnFileWriter::WriteFile(dataset, path).ok());
 
-  table::ColumnFileReader v1(v1_path);
-  table::ColumnFileReader v2(v2_path);
-  ASSERT_TRUE(v1.Open().ok());
-  const Status v2_open = v2.Open();
-  ASSERT_TRUE(v2_open.ok()) << v2_open.ToString();
-  EXPECT_EQ(v1.format_version(), 1);
-  EXPECT_EQ(v2.format_version(), 2);
+  table::ColumnFileReader reader(path);
+  const Status opened = reader.Open();
+  ASSERT_TRUE(opened.ok()) << opened.ToString();
+  auto batch = reader.NewBatch();
+  ASSERT_TRUE(batch.ok());
+  auto want = table::ColumnarBatch::FromDataset(dataset);
+  ASSERT_TRUE(want.ok());
+  ExpectBatchesBitExact(*batch, *want, "smcolv2-vs-dataset");
 
-  auto v1_batch = v1.NewBatch();
-  auto v2_batch = v2.NewBatch();
-  ASSERT_TRUE(v1_batch.ok());
-  ASSERT_TRUE(v2_batch.ok());
-  ExpectBatchesBitExact(*v2_batch, *v1_batch, "smcolv2-vs-smcolv1");
-
-  // V1 opens by pure mmap (nothing decoded); V2 reports its decode work.
-  EXPECT_EQ(v1.open_stats().blocks_decoded, 0);
-  EXPECT_GT(v2.open_stats().blocks_decoded, 0);
-  EXPECT_GT(v2.open_stats().bytes_on_disk, 0);
-  EXPECT_GT(v2.open_stats().bytes_decoded, v2.open_stats().bytes_on_disk / 8);
+  // Open() decodes the whole file once and reports that work.
+  EXPECT_GT(reader.open_stats().blocks_decoded, 0);
+  EXPECT_GT(reader.open_stats().bytes_on_disk, 0);
+  EXPECT_GT(reader.open_stats().bytes_decoded,
+            reader.open_stats().bytes_on_disk / 8);
 }
 
 TEST_F(TableTest, ColumnFileEdgeShapesRoundTrip) {
@@ -341,7 +370,6 @@ TEST_F(TableTest, EmptyColumnFileRoundTrips) {
 
   table::ColumnFileReader reader(path);
   ASSERT_TRUE(reader.Open().ok());
-  EXPECT_EQ(reader.format_version(), 2);
   auto batch = reader.NewBatch();
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->count(), 0u);
@@ -449,7 +477,7 @@ TEST_F(TableTest, CacheEvictsLruUnderByteBudget) {
   EXPECT_TRUE(fs::exists(*second_path));
 }
 
-TEST_F(TableTest, CacheSpoolsRequestedFormatWithBitExactBatches) {
+TEST_F(TableTest, CacheSpoolsColumnFileWithBitExactBatches) {
   const MeterDataset dataset = SmallDataset(5, 72, 13);
   const std::string csv_path = (dir_ / "data.csv").string();
   ASSERT_TRUE(storage::WriteReadingsCsv(dataset, csv_path).ok());
@@ -461,28 +489,17 @@ TEST_F(TableTest, CacheSpoolsRequestedFormatWithBitExactBatches) {
   auto reference = csv_reader.NewBatch();
   ASSERT_TRUE(reference.ok());
 
-  const table::ColumnarCache::Format formats[] = {
-      table::ColumnarCache::Format::kV1, table::ColumnarCache::Format::kV2};
-  for (table::ColumnarCache::Format format : formats) {
-    const int expect_version =
-        format == table::ColumnarCache::Format::kV1 ? 1 : 2;
-    SCOPED_TRACE(testing::Message() << "format v" << expect_version);
-    table::ColumnarCache::Options options;
-    options.format = format;
-    table::ColumnarCache cache(
-        (dir_ / ("cache_v" + std::to_string(expect_version))).string(),
-        options);
-    auto reader = cache.OpenOrBuild(*source);
-    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    auto cache_path = cache.CacheFilePath(*source);
-    ASSERT_TRUE(cache_path.ok());
-    auto sniffed = storage::SniffColumnFileFormat(*cache_path);
-    ASSERT_TRUE(sniffed.ok());
-    EXPECT_EQ(*sniffed, expect_version);
-    auto batch = (*reader)->NewBatch();
-    ASSERT_TRUE(batch.ok());
-    ExpectBatchesBitExact(*batch, *reference, "cache-spool-format");
-  }
+  table::ColumnarCache cache((dir_ / "cache").string());
+  auto reader = cache.OpenOrBuild(*source);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  auto cache_path = cache.CacheFilePath(*source);
+  ASSERT_TRUE(cache_path.ok());
+  storage::CompressedColumnFile spooled;
+  const Status opened = spooled.Open(*cache_path);
+  EXPECT_TRUE(opened.ok()) << opened.ToString();
+  auto batch = (*reader)->NewBatch();
+  ASSERT_TRUE(batch.ok());
+  ExpectBatchesBitExact(*batch, *reference, "cache-spool");
 }
 
 // ---------------------------------------------------------------------------
